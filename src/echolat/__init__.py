@@ -36,7 +36,6 @@ from .errors import (
 from .linalg import (
     QuadraticRoots,
     RootKind,
-    determinant,
     least_squares_solve,
     numeric_rank,
     solve_quadratic,
@@ -94,7 +93,7 @@ __all__ = [
     "DegenerateMirror", "BudgetExceeded", "ParseError", "NumericError",
     "RankDeficient", "NotSpanning", "DegenerateSystem", "InconsistentTimes",
     # linear kernel
-    "QuadraticRoots", "RootKind", "determinant", "least_squares_solve",
+    "QuadraticRoots", "RootKind", "least_squares_solve",
     "numeric_rank", "solve_quadratic",
     # lateration
     "Candidate", "EmissionEvent", "GeometryReport", "SensorArray",

@@ -17,13 +17,22 @@ for collapsing relation residuals on mixed tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMirror, DimensionMismatch, ValidationError
 from .lateration import SensorArray
-from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, match_events
+from .linalg import fsum_dot
+from .matching import (
+    _CHUNK_ROWS,
+    DetectedEvent,
+    MatchConfig,
+    MatchReport,
+    ReceptionTable,
+    match_events,
+)
 from .relations import batched_relation_residuals
 
 #: Components of a unit normal smaller than this are treated as zero when
@@ -51,7 +60,7 @@ class Wall:
         vec = np.array(self.normal, dtype=float).reshape(-1)
         if vec.size < 2 or not np.isfinite(vec).all() or not np.isfinite(self.offset):
             raise ValidationError("wall needs a finite normal (dim >= 2) and offset")
-        length = float(np.linalg.norm(vec))
+        length = math.sqrt(fsum_dot(vec.tolist(), vec.tolist()))
         if length == 0.0:
             raise ValidationError("wall normal must be nonzero")
         vec = vec / length
@@ -97,11 +106,11 @@ def wall_from_mirror(source, mirror) -> Wall:
     if src.shape != mir.shape:
         raise DimensionMismatch(f"source {src.shape} and mirror {mir.shape} differ")
     gap = mir - src
-    length = float(np.linalg.norm(gap))
+    length = math.sqrt(fsum_dot(gap.tolist(), gap.tolist()))
     if length <= _MIRROR_EPS:
         raise DegenerateMirror(f"mirror point is only {length:g} away from the source")
     normal = gap / length
-    offset = float(normal @ ((src + mir) / 2.0))
+    offset = fsum_dot(normal.tolist(), ((src + mir) / 2.0).tolist())
     return Wall(normal, offset)
 
 
@@ -359,7 +368,12 @@ def goodness_check(
 
 
 def _mixed_margin(room: Room, sensors: SensorArray, include_direct: bool) -> float | None:
-    """Smallest relation residual over tuples mixing different sources."""
+    """Smallest relation residual over tuples mixing different sources.
+
+    The k^m assignments of sources to sensors are enumerated in pieces of
+    ``_CHUNK_ROWS`` rows, so memory stays bounded however many walls there
+    are.
+    """
     sources = room.mirror_points()
     if include_direct:
         sources = np.vstack([sources, room.loudspeaker])
@@ -368,9 +382,15 @@ def _mixed_margin(room: Room, sensors: SensorArray, include_direct: bool) -> flo
         return None
     gaps = sources[:, None, :] - sensors.positions[None, :, :]
     arrivals = np.sqrt((gaps * gaps).sum(axis=2))  # (k, m): source x sensor
-    idx = np.indices((k,) * m).reshape(m, -1).T  # every assignment of sources
-    mixed = ~np.all(idx == idx[:, :1], axis=1)
-    rows = arrivals[idx[mixed], np.arange(m)[None, :]]
     dist = sensors.pairwise_distances()
-    residuals = batched_relation_residuals(rows, dist * dist)
-    return float(residuals.min())
+    dist2 = dist * dist
+    total = k**m
+    lows = []
+    for start in range(0, total, _CHUNK_ROWS):
+        flat = np.arange(start, min(start + _CHUNK_ROWS, total))
+        idx = np.column_stack(np.unravel_index(flat, (k,) * m))  # assignments of sources
+        mixed = ~np.all(idx == idx[:, :1], axis=1)
+        if mixed.any():
+            rows = arrivals[idx[mixed], np.arange(m)[None, :]]
+            lows.append(batched_relation_residuals(rows, dist2).min())
+    return float(np.min(lows))

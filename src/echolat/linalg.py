@@ -11,8 +11,8 @@ steps that produce digits do not go through BLAS or LAPACK:
 :func:`least_squares_solve` solves exactly in integer arithmetic and
 rounds once, and :func:`fsum_dot` rounds a dot product once with
 :func:`math.fsum`.  Their results are the same under every BLAS kernel and
-on every IEEE-754 machine.  :func:`determinant` and :func:`hadamard_ratio`
-still call ``np.linalg.det``.
+on every IEEE-754 machine.  :func:`hadamard_ratio` still calls
+``np.linalg.det``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from .errors import RankDeficient
 
 #: Relative singular-value cutoff used for rank decisions package-wide.
 DEFAULT_RANK_TOL = 1e-8
-
-#: Largest matrix size accepted by :func:`determinant`.  Beyond this the
-#: determinant is numerically meaningless for the matrices we deal with.
-MAX_DET_SIZE = 8
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -176,17 +172,6 @@ def fsum_dot(x: list[float], y: list[float], addend: float = 0.0) -> float:
     return math.fsum(
         chain(map(mul, xh, yh), map(mul, xh, yl), map(mul, xl, yh), map(mul, xl, yl), (addend,))
     )
-
-
-def determinant(a) -> float:
-    """Determinant of a small (at most 8x8) square matrix."""
-    arr = _as_matrix(a)
-    k, k2 = arr.shape
-    if k != k2:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    if k > MAX_DET_SIZE:
-        raise ValueError(f"matrix size {k} exceeds the supported maximum {MAX_DET_SIZE}")
-    return float(np.linalg.det(arr))
 
 
 def hadamard_ratio(a) -> float:

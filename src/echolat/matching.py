@@ -14,6 +14,14 @@ the admissible time windows sensor by sensor over the sorted lists, so the
 cost scales with the number of plausible tuples rather than the full
 product.  The full product size is still counted exactly and guarded by a
 budget.
+
+One breadth-first walk serves both :func:`match_events` and
+:func:`prune_tuples`: it finds the windows of a whole block of prefixes
+with one ``searchsorted`` per side and extends the block in pieces of at
+most ``_CHUNK_ROWS`` rows, a size whose (k, m, m) screen temporaries fit
+in a per-core L2 cache.  Every piece is walked to the last sensor before
+the next one is built, so tuples come out in lexicographic order and
+memory stays bounded.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .lateration import SensorArray, SolveConfig, SolvePath, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
-_CHUNK_ROWS = 16384
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,16 +151,20 @@ def _default_slack(sensors: SensorArray, table: ReceptionTable) -> float:
     return 1e-9 * (sensors.diameter() + table.span()) + 1e-12
 
 
-def _survivor_blocks(
+def _walk(
     arrays: tuple[np.ndarray, ...],
     dist: np.ndarray,
     slack: float,
     counters: dict,
-) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Walk the pruned product, yielding (prefix_times, lo, hi) blocks.
+) -> Iterator[np.ndarray]:
+    """Walk the pruned product breadth-first, yielding (k, m) blocks of tuples.
 
-    A block stands for all tuples sharing ``prefix_times`` over the first
-    m-1 sensors, with the last entry ranging over ``arrays[-1][lo:hi]``.
+    Each step takes a block of prefixes over the first l sensors, finds
+    every prefix's window ``arrays[l][lo:hi]`` at once and extends the
+    block piece by piece: a piece holds the extensions of consecutive
+    prefixes, at most ``_CHUNK_ROWS`` rows unless one prefix alone has
+    more, and is walked to the last sensor before the next piece is built.
+    The yielded rows therefore come out in lexicographic order.
     ``counters['pruned']`` accumulates the exact number of full-product
     tuples skipped by window pruning.
     """
@@ -161,30 +173,38 @@ def _survivor_blocks(
     suffix = [1] * (m + 1)
     for i in reversed(range(m)):
         suffix[i] = suffix[i + 1] * sizes[i]
-    prefix = np.empty(max(m - 1, 1))
 
-    def rec(level: int) -> Iterator[tuple[np.ndarray, int, int]]:
+    def extend(prefixes: np.ndarray) -> Iterator[np.ndarray]:
+        level = prefixes.shape[1]
         arr = arrays[level]
         if level == 0:
-            lo, hi = 0, arr.size
+            lo = np.zeros(1, dtype=np.intp)
+            counts = np.full(1, arr.size, dtype=np.intp)
         else:
-            chosen = prefix[:level]
-            lo_t = float(np.max(chosen - dist[:level, level])) - slack
-            hi_t = float(np.min(chosen + dist[:level, level])) + slack
-            lo = int(np.searchsorted(arr, lo_t, side="left"))
-            hi = int(np.searchsorted(arr, hi_t, side="right"))
-            if hi < lo:
-                hi = lo
-        counters["pruned"] += (sizes[level] - (hi - lo)) * suffix[level + 1]
-        if level == m - 1:
-            if hi > lo:
-                yield prefix[: m - 1].copy(), lo, hi
-            return
-        for i in range(lo, hi):
-            prefix[level] = arr[i]
-            yield from rec(level + 1)
+            lo_t = (prefixes - dist[:level, level]).max(axis=1) - slack
+            hi_t = (prefixes + dist[:level, level]).min(axis=1) + slack
+            lo = np.searchsorted(arr, lo_t, side="left")
+            counts = np.maximum(np.searchsorted(arr, hi_t, side="right") - lo, 0)
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        counters["pruned"] += (sizes[level] * len(counts) - total) * suffix[level + 1]
+        done = 0
+        while done < total:
+            start = int(np.searchsorted(ends, done, side="right"))
+            stop = max(int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")), start + 1)
+            width = counts[start:stop]
+            rows = int(ends[stop - 1]) - done
+            block = np.empty((rows, level + 1))
+            block[:, :level] = np.repeat(prefixes[start:stop], width, axis=0)
+            first = lo[start:stop] - (ends[start:stop] - width - done)
+            block[:, level] = arr[np.repeat(first, width) + np.arange(rows)]
+            if level == m - 1:
+                yield block
+            else:
+                yield from extend(block)
+            done += rows
 
-    yield from rec(0)
+    yield from extend(np.empty((1, 0)))
 
 
 def prune_tuples(
@@ -205,13 +225,8 @@ def prune_tuples(
         )
     if slack is None:
         slack = _default_slack(sensors, table)
-    dist = sensors.pairwise_distances()
-    counters = {"pruned": 0}
-    last = table.times[-1] if table.count else np.empty(0)
-    for prefix, lo, hi in _survivor_blocks(table.times, dist, slack, counters):
-        head = tuple(float(x) for x in prefix)
-        for value in last[lo:hi]:
-            yield head + (float(value),)
+    for block in _walk(table.times, sensors.pairwise_distances(), slack, {"pruned": 0}):
+        yield from map(tuple, block.tolist())
 
 
 def _dedup_events(
@@ -286,22 +301,13 @@ def match_events(
     evaluated = 0
     dropped_ambiguous = 0
 
-    pending: list[np.ndarray] = []
-    pending_rows = 0
-
-    def flush() -> None:
-        nonlocal pending_rows, accepted, evaluated, dropped_ambiguous
-        if not pending:
-            return
-        rows = np.vstack(pending)
-        pending.clear()
-        pending_rows = 0
+    for rows in _walk(table.times, dist, slack, counters):
         evaluated += rows.shape[0]
         residuals = batched_relation_residuals(rows, dist2)
-        for row, residual in zip(rows[residuals <= config.residual_threshold],
-                                 residuals[residuals <= config.residual_threshold]):
+        hits = residuals <= config.residual_threshold
+        for row, residual in zip(rows[hits], residuals[hits]):
             accepted += 1
-            source = tuple(float(x) for x in row)
+            source = tuple(row.tolist())
             try:
                 result = solve(sensors, row, solve_cfg)
             except NumericError as exc:
@@ -323,18 +329,6 @@ def match_events(
                         ambiguous=ambiguous,
                     )
                 )
-
-    last_arrays = table.times[-1] if m else np.empty(0)
-    for prefix, lo, hi in _survivor_blocks(table.times, dist, slack, counters):
-        width = hi - lo
-        rows = np.empty((width, m))
-        rows[:, : m - 1] = prefix
-        rows[:, m - 1] = last_arrays[lo:hi]
-        pending.append(rows)
-        pending_rows += width
-        if pending_rows >= _CHUNK_ROWS:
-            flush()
-    flush()
 
     events = _dedup_events(found, config.dedup_time_eps, pos_eps)
     return MatchReport(

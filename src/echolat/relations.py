@@ -15,7 +15,6 @@ scale-free and lies in [0, 1] by Hadamard's inequality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,29 +81,16 @@ def relation_matrix(sensors: SensorArray, times) -> np.ndarray:
     return dt * dt - dist * dist
 
 
-def relation_residual(dmat, order: int | None = None) -> float:
+def relation_residual(dmat) -> float:
     """Scale-free singularity test of a relation matrix, in [0, 1].
 
-    For an m x m input and ``order`` k <= m, returns the largest
-    Hadamard-normalised |det| over all k x k principal submatrices (for a
-    symmetric matrix the rank equals the largest order of a nonvanishing
-    principal minor, so this detects rank >= k).  ``order=None`` uses the
-    full matrix.  All-zero submatrices contribute 0.
+    The Hadamard-normalised |det| of the square input; the all-zero matrix
+    maps to 0.
     """
     arr = np.asarray(dmat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"relation matrix must be square, got shape {arr.shape}")
-    m = arr.shape[0]
-    k = m if order is None else order
-    if not 1 <= k <= m:
-        raise ValidationError(f"order must be in [1, {m}], got {k}")
-    if k == m:
-        return linalg.hadamard_ratio(arr)
-    best = 0.0
-    for subset in itertools.combinations(range(m), k):
-        idx = list(subset)
-        best = max(best, linalg.hadamard_ratio(arr[np.ix_(idx, idx)]))
-    return best
+    return linalg.hadamard_ratio(arr)
 
 
 def batched_relation_residuals(time_tuples: np.ndarray, dist2: np.ndarray) -> np.ndarray:

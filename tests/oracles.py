@@ -1,14 +1,20 @@
-"""Slow-but-exact rational-arithmetic oracles, independent of numpy.
+"""Slow-but-exact reference implementations for cross-checking.
 
-Used to derive the frozen expected values in the golden tests and to
-cross-check float results: Gaussian elimination and determinants over
-``fractions.Fraction``, plus the exact form of the reduced time-line
-solution (u, alpha, v, beta) for a sensor/time dataset.
+The rational-arithmetic oracles are independent of numpy.  They derive the
+frozen expected values in the golden tests and cross-check float results:
+Gaussian elimination and determinants over ``fractions.Fraction``, plus the
+exact form of the reduced time-line solution (u, alpha, v, beta) for a
+sensor/time dataset.  :func:`survivor_blocks` is the matcher's original
+element-by-element window walk, kept as the reference for the vectorised
+walk in :mod:`echolat.matching`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
+
+import numpy as np
 
 
 def frac(value) -> Fraction:
@@ -105,3 +111,47 @@ def reduced_quadratic(sensors, times):
     b = 2 * sum(x * y for x, y in zip(u, v)) - alpha
     c = sum(x * x for x in v) - beta
     return a, b, c
+
+
+def survivor_blocks(
+    arrays: tuple[np.ndarray, ...],
+    dist: np.ndarray,
+    slack: float,
+    counters: dict,
+) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Walk the pruned product, yielding (prefix_times, lo, hi) blocks.
+
+    A block stands for all tuples sharing ``prefix_times`` over the first
+    m-1 sensors, with the last entry ranging over ``arrays[-1][lo:hi]``.
+    ``counters['pruned']`` accumulates the exact number of full-product
+    tuples skipped by window pruning.
+    """
+    m = len(arrays)
+    sizes = [arr.size for arr in arrays]
+    suffix = [1] * (m + 1)
+    for i in reversed(range(m)):
+        suffix[i] = suffix[i + 1] * sizes[i]
+    prefix = np.empty(max(m - 1, 1))
+
+    def rec(level: int) -> Iterator[tuple[np.ndarray, int, int]]:
+        arr = arrays[level]
+        if level == 0:
+            lo, hi = 0, arr.size
+        else:
+            chosen = prefix[:level]
+            lo_t = float(np.max(chosen - dist[:level, level])) - slack
+            hi_t = float(np.min(chosen + dist[:level, level])) + slack
+            lo = int(np.searchsorted(arr, lo_t, side="left"))
+            hi = int(np.searchsorted(arr, hi_t, side="right"))
+            if hi < lo:
+                hi = lo
+        counters["pruned"] += (sizes[level] - (hi - lo)) * suffix[level + 1]
+        if level == m - 1:
+            if hi > lo:
+                yield prefix[: m - 1].copy(), lo, hi
+            return
+        for i in range(lo, hi):
+            prefix[level] = arr[i]
+            yield from rec(level + 1)
+
+    yield from rec(0)

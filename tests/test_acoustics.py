@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
+from echolat import acoustics
 
 
 def shoebox():
@@ -288,3 +289,21 @@ def test_goodness_validation():
         el.goodness_check(room, sensors, trials=-1)
     with pytest.raises(el.DimensionMismatch):
         el.goodness_check(room, el.SensorArray([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("include_direct, chunk_rows", [(False, 1), (True, 11)])
+def test_mixed_margin_in_pieces_equals_the_whole_product(monkeypatch, include_direct, chunk_rows):
+    room, sensors = shoebox()
+    sources = room.mirror_points()
+    if include_direct:
+        sources = np.vstack([sources, room.loudspeaker])
+    k, m = sources.shape[0], sensors.count
+    gaps = sources[:, None, :] - sensors.positions[None, :, :]
+    arrivals = np.sqrt((gaps * gaps).sum(axis=2))
+    idx = np.indices((k,) * m).reshape(m, -1).T
+    mixed = ~np.all(idx == idx[:, :1], axis=1)
+    rows = arrivals[idx[mixed], np.arange(m)[None, :]]
+    dist = sensors.pairwise_distances()
+    whole = float(el.batched_relation_residuals(rows, dist * dist).min())
+    monkeypatch.setattr(acoustics, "_CHUNK_ROWS", chunk_rows)
+    assert acoustics._mixed_margin(room, sensors, include_direct) == whole

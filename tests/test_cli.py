@@ -261,11 +261,8 @@ def _numpy_blas_is_openblas_on_x86_64() -> bool:
     return "openblas" in str(blas).lower() and platform.machine().lower() in ("x86_64", "amd64")
 
 
-@pytest.mark.skipif(
-    not _numpy_blas_is_openblas_on_x86_64(),
-    reason="OPENBLAS_CORETYPE selects kernels only where numpy uses OpenBLAS on x86-64",
-)
-def test_solve_prints_the_same_digits_under_every_openblas_kernel():
+def _stdout_under_each_openblas_kernel(args) -> dict:
+    """Standard output of ``python args...`` per OpenBLAS kernel in a child."""
     package_root = str(Path(echolat.__file__).resolve().parent.parent)
     outputs = {}
     for kernel in OPENBLAS_KERNELS:
@@ -274,13 +271,38 @@ def test_solve_prints_the_same_digits_under_every_openblas_kernel():
         if kernel is not None:
             env["OPENBLAS_CORETYPE"] = kernel
         proc = subprocess.run(
-            [sys.executable, "-c", KERNEL_PROBE, *(scenario(name) for name in SOLVE_SCENARIOS)],
-            capture_output=True,
-            text=True,
-            env=env,
+            [sys.executable, *args], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, f"OPENBLAS_CORETYPE={kernel}: {proc.stderr}"
         outputs[kernel] = proc.stdout
+    return outputs
+
+
+requires_openblas_kernels = pytest.mark.skipif(
+    not _numpy_blas_is_openblas_on_x86_64(),
+    reason="OPENBLAS_CORETYPE selects kernels only where numpy uses OpenBLAS on x86-64",
+)
+
+
+@requires_openblas_kernels
+def test_solve_prints_the_same_digits_under_every_openblas_kernel():
+    outputs = _stdout_under_each_openblas_kernel(
+        ["-c", KERNEL_PROBE, *(scenario(name) for name in SOLVE_SCENARIOS)]
+    )
     assert outputs[None].count("candidates: ") == len(SOLVE_SCENARIOS)
     for kernel, out in outputs.items():
         assert out == outputs[None], f"OPENBLAS_CORETYPE={kernel} prints other digits"
+
+
+@requires_openblas_kernels
+def test_detect_walls_prints_the_same_walls_under_every_openblas_kernel():
+    outputs = _stdout_under_each_openblas_kernel(
+        ["-m", "echolat.cli", "detect-walls", scenario("shoebox_3d")]
+    )
+    walls = {
+        kernel: [line for line in out.splitlines() if line.startswith("wall ")]
+        for kernel, out in outputs.items()
+    }
+    assert len(walls[None]) == 6
+    for kernel, lines in walls.items():
+        assert lines == walls[None], f"OPENBLAS_CORETYPE={kernel} prints other walls"

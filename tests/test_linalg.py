@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import echolat as el
 from echolat.linalg import fsum_dot, hadamard_ratio
-from oracles import frac_det, frac_matrix, frac_solve
+from oracles import frac_matrix, frac_solve
 
 # exactly zero or of sane magnitude; subnormal coefficients overflow any
 # representation of the roots and are outside the solver's domain
@@ -126,26 +126,6 @@ def test_fsum_dot_is_correctly_rounded(x, addend):
     exact = sum(F(a) * F(b) for a, b in zip(x, y)) + F(addend)
     assert fsum_dot(x, y, addend) == float(exact)
     assert fsum_dot(x, x) == float(sum(F(a) * F(a) for a in x))
-
-
-def test_determinant_matches_exact_elimination():
-    rng = np.random.default_rng(17)
-    for size in (1, 2, 3, 4, 5):
-        ints = rng.integers(-9, 10, size=(size, size))
-        expected = frac_det([[F(int(x)) for x in row] for row in ints])
-        got = el.determinant(ints.astype(float))
-        assert got == pytest.approx(float(expected), rel=1e-10, abs=1e-10)
-
-
-def test_determinant_zero_matrix_is_exactly_zero():
-    assert el.determinant(np.zeros((4, 4))) == 0.0
-
-
-def test_determinant_rejects_large_and_nonsquare():
-    with pytest.raises(ValueError):
-        el.determinant(np.eye(9))
-    with pytest.raises(ValueError):
-        el.determinant(np.ones((2, 3)))
 
 
 def test_hadamard_ratio_bounds():

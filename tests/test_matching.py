@@ -7,9 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import echolat as el
+from echolat import matching
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
+from oracles import survivor_blocks
 
 
 def _scene(seed: int, n_events: int = 3):
@@ -224,3 +228,46 @@ def test_empty_reception_list_means_no_events():
     assert report.candidate_tuples == 0
     assert report.events == ()
     assert report.rejected_tuples == 0
+
+
+# Quarter-unit times and integer sensor coordinates put many window
+# boundaries exactly on a reception time.
+_walk_times = st.lists(st.integers(0, 24).map(lambda k: k / 4.0), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=m, max_size=m),
+            st.lists(_walk_times, min_size=m, max_size=m),
+        )
+    ),
+    st.sampled_from([0.0, 1e-9, 0.3, math.inf]),
+    st.sampled_from([1, 2, 3, None]),
+)
+def test_walk_matches_the_reference_walk(scene, slack, chunk_rows):
+    points, lists = scene
+    positions = np.array(points, dtype=float)
+    gaps = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt((gaps * gaps).sum(axis=2))
+    arrays = el.ReceptionTable.from_lists(lists).times
+
+    want_counts = {"pruned": 0}
+    want = [
+        tuple(prefix.tolist()) + (value,)
+        for prefix, lo, hi in survivor_blocks(arrays, dist, slack, want_counts)
+        for value in arrays[-1][lo:hi].tolist()
+    ]
+    got_counts = {"pruned": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_rows is not None:
+            mp.setattr(matching, "_CHUNK_ROWS", chunk_rows)
+        limit = max(matching._CHUNK_ROWS, *(arr.size for arr in arrays))
+        blocks = list(matching._walk(arrays, dist, slack, got_counts))
+    assert all(0 < block.shape[0] <= limit for block in blocks)
+    assert all(block.shape[1] == len(arrays) for block in blocks)
+    got = [tuple(row) for block in blocks for row in block.tolist()]
+    assert got == want
+    assert got_counts["pruned"] == want_counts["pruned"]
+    assert got_counts["pruned"] + len(got) == math.prod(arr.size for arr in arrays)

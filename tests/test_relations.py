@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
 import echolat as el
-from echolat.linalg import hadamard_ratio
 from conftest import random_event, random_sensors
 
 
@@ -110,40 +107,17 @@ def test_residual_bounds():
         assert 0.0 <= el.relation_residual(mat) <= 1.0 + 1e-12
 
 
-def test_residual_principal_minor_order():
-    rng = np.random.default_rng(113)
-    sensors = random_sensors(rng, 8, 3)
-    # inconsistent times: two separate events interleaved
-    t1 = el.event_arrivals(sensors, random_event(rng, 3))
-    t2 = el.event_arrivals(sensors, random_event(rng, 3))
-    times = np.where(np.arange(8) % 2 == 0, t1, t2)
-    dmat = el.relation_matrix(sensors, times)
-    got = el.relation_residual(dmat, order=5)
-    # brute force over all 5x5 principal submatrices
-    want = max(
-        hadamard_ratio(dmat[np.ix_(idx, idx)])
-        for idx in itertools.combinations(range(8), 5)
-    )
-    assert got == want
-    assert got > 1e-4
-
-
 def test_residual_order_detects_rank_bound():
-    # one event heard by eight sensors: every 5x5 principal minor vanishes
-    # because the relation matrix has rank at most n + 1 = 4
+    # one event heard by eight sensors: the relation matrix has rank at
+    # most n + 1 = 4
     rng = np.random.default_rng(127)
     sensors = random_sensors(rng, 8, 3)
     times = el.event_arrivals(sensors, random_event(rng, 3))
     dmat = el.relation_matrix(sensors, times)
-    assert el.relation_residual(dmat, order=5) < 1e-10
     assert el.numeric_rank(dmat) <= 4
 
 
-def test_residual_order_validation():
-    with pytest.raises(el.ValidationError):
-        el.relation_residual(np.zeros((3, 3)), order=0)
-    with pytest.raises(el.ValidationError):
-        el.relation_residual(np.zeros((3, 3)), order=4)
+def test_residual_shape_validation():
     with pytest.raises(el.ValidationError):
         el.relation_residual(np.zeros((3, 4)))
 
