@@ -45,16 +45,12 @@ from .lateration import (
     EmissionEvent,
     GeometryReport,
     SensorArray,
-    SolveConfig,
     SolvePath,
     SolveResult,
     check_geometry,
     event_arrivals,
-    geometry_matrix,
     measurement_matrix,
     solve,
-    solve_full_rank,
-    solve_rank_deficient,
 )
 from .relations import (
     QuadraticForm,
@@ -97,9 +93,8 @@ __all__ = [
     "numeric_rank", "solve_quadratic",
     # lateration
     "Candidate", "EmissionEvent", "GeometryReport", "SensorArray",
-    "SolveConfig", "SolvePath", "SolveResult", "check_geometry",
-    "event_arrivals", "geometry_matrix", "measurement_matrix", "solve",
-    "solve_full_rank", "solve_rank_deficient",
+    "SolvePath", "SolveResult", "check_geometry", "event_arrivals",
+    "measurement_matrix", "solve",
     # relations
     "QuadraticForm", "batched_relation_residuals", "cayley_menger_matrix",
     "relation_matrix", "relation_residual",

@@ -40,6 +40,9 @@ from .relations import batched_relation_residuals
 #: flip the stored sign of an axis-aligned wall.
 _ORIENT_EPS = 1e-9
 
+#: Points closer than this are one point: a mirror point this close to
+#: the source determines no wall, and an event this close to the source is
+#: the direct sound.
 _MIRROR_EPS = 1e-9
 
 
@@ -257,15 +260,13 @@ def detect_walls(
     table: ReceptionTable,
     source,
     config: MatchConfig = MatchConfig(),
-    *,
-    direct_eps: float = 1e-9,
 ) -> WallDetection:
     """Recover walls from unlabelled reception times and a known source.
 
-    Matches the table to events, treats every event further than
-    ``direct_eps`` from the source as a mirror point and converts it to a
-    wall; events at the source are reported as the direct sound.  Walls
-    closer than internal tolerances are merged.
+    Matches the table to events, treats every event further than 1e-9 from
+    the source as a mirror point and converts it to a wall; events at the
+    source are reported as the direct sound.  Walls closer than internal
+    tolerances are merged.
     """
     src = np.asarray(source, dtype=float).reshape(-1)
     if src.shape[0] != sensors.dim:
@@ -276,7 +277,7 @@ def detect_walls(
     walls: list[Wall] = []
     scale = 1.0 + float(np.abs(src).max(initial=0.0)) + sensors.diameter()
     for ev in report.events:
-        if float(np.linalg.norm(ev.position - src)) <= direct_eps:
+        if float(np.linalg.norm(ev.position - src)) <= _MIRROR_EPS:
             direct.append(ev)
             continue
         mirrors.append(ev)
@@ -316,28 +317,26 @@ def goodness_check(
     *,
     trials: int = 20,
     rng_seed: int = 0,
-    perturbation: float = 0.05,
     include_direct: bool = False,
     config: MatchConfig = MatchConfig(),
-    normal_tol: float = 1e-6,
-    offset_tol: float | None = None,
 ) -> GoodnessReport:
     """Probe a sensor layout for ghost walls and residual margin.
 
     Runs the full simulate-and-detect loop for the given sensors and for
-    ``trials`` uniformly perturbed copies (amplitude ``perturbation`` times
-    the sensor diameter), comparing detected walls against the room.  See
+    ``trials`` uniformly perturbed copies (amplitude 0.05 times the sensor
+    diameter), comparing detected walls against the room: a detected wall
+    matches a true one when their normals differ by at most 1e-6 and their
+    offsets by at most 1e-6 times one plus the largest wall offset.  See
     :class:`GoodnessReport` for the aggregated fields.
     """
     if sensors.dim != room.dim:
         raise DimensionMismatch(f"sensors have dimension {sensors.dim}, room {room.dim}")
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
-    if offset_tol is None:
-        max_offset = max((abs(w.offset) for w in room.walls), default=0.0)
-        offset_tol = 1e-6 * (1.0 + max_offset)
+    normal_tol = 1e-6
+    offset_tol = 1e-6 * (1.0 + max((abs(w.offset) for w in room.walls), default=0.0))
     rng = np.random.default_rng(rng_seed)
-    amplitude = perturbation * sensors.diameter()
+    amplitude = 0.05 * sensors.diameter()
 
     layouts = [sensors]
     for _ in range(trials):

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .acoustics import detect_walls, goodness_check, simulate_echoes
 from .errors import NumericError, ParseError, ValidationError
-from .lateration import SensorArray, SolveConfig, check_geometry, event_arrivals, solve
+from .lateration import SensorArray, check_geometry, event_arrivals, solve
 from .matching import MatchConfig, ReceptionTable, match_events
 from .scenario import Scenario, load_scenario
 
@@ -72,10 +72,6 @@ def _seed(scenario: Scenario, args) -> int:
     return scenario.rng_seed if args.seed is None else args.seed
 
 
-def _solve_config(args) -> SolveConfig:
-    return SolveConfig(rank_tol=args.rank_tol)
-
-
 def _match_config(args) -> MatchConfig:
     return MatchConfig(
         residual_threshold=args.tolerance,
@@ -103,7 +99,7 @@ def _cmd_solve(scenario: Scenario, args) -> Report:
     if table is None or any(size != 1 for size in table.sizes()):
         raise ValidationError("solve needs a reception_table with exactly one time per sensor")
     times = np.array([arr[0] for arr in table.times])
-    result = solve(scenario.sensors, times, _solve_config(args))
+    result = solve(scenario.sensors, times, rank_tol=args.rank_tol)
     report = Report()
     _header(report, scenario, args)
     report.add(f"path: {result.path.value}")

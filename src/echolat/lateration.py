@@ -1,23 +1,8 @@
 """Closed-form pseudo-range multilateration in arbitrary dimension.
 
-Sensors at known positions ``a_1, ..., a_m`` in R^n each record the time a
-signal arrived.  With the propagation speed normalised to 1, an emission
-event ``(t, x)`` satisfies ``||a_i - x|| = t_i - t`` for every sensor.
-Squaring these equations makes them linear in the unknowns ``(t, x, w)``
-with ``w = ||x||^2 - t^2``, giving an m x (n+2) linear system:
-
-* If that system has full column rank, a single least-squares solve yields
-  the unique event (``FULL_RANK`` path).
-* Otherwise the system is reduced against the sensor-geometry part alone.
-  The solution set is a line ``x = t*u + v`` in the unknown emission time
-  ``t``, and substituting back yields one scalar quadratic in ``t``
-  (``QUADRATIC`` path).  Both roots are reported; a root whose emission
-  time lies after some recorded arrival cannot be a physical event for the
-  one-sided model and is flagged as spurious.
-
-For sensors that affinely span R^n the reduced quadratic never loses both
-its ``t^2`` and ``t`` coefficients at once, so the quadratic path always
-produces at least one candidate for consistent data.
+:func:`solve` recovers one emission event from one reception time per
+sensor; :func:`check_geometry` diagnoses whether a sensor layout makes that
+event unique.
 """
 
 from __future__ import annotations
@@ -34,9 +19,17 @@ from .errors import (
     InconsistentTimes,
     LengthMismatch,
     NotSpanning,
-    RankDeficient,
     ValidationError,
 )
+
+#: A reduced-quadratic coefficient at most this large counts as zero.  The
+#: leading coefficient is dimensionless, so an absolute threshold is
+#: meaningful.
+_DEGENERACY_TOL = 1e-9
+
+#: A sign-pattern determinant, normalised by its row norms, at most this
+#: large counts as vanishing in :func:`check_geometry`.
+_CONDITION_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +61,9 @@ class SensorArray:
         if np.any(dist[iu] == 0.0):
             raise ValidationError("sensor positions must be pairwise distinct")
         arr.setflags(write=False)
+        dist.setflags(write=False)
         object.__setattr__(self, "positions", arr)
+        object.__setattr__(self, "_dist", dist)
         object.__setattr__(self, "_diameter", float(dist.max()))
 
     @property
@@ -80,9 +75,8 @@ class SensorArray:
         return self.positions.shape[1]
 
     def pairwise_distances(self) -> np.ndarray:
-        """Symmetric (m, m) matrix of Euclidean distances between sensors."""
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
+        """Symmetric, read-only (m, m) matrix of distances between sensors."""
+        return self._dist
 
     def diameter(self) -> float:
         return self._diameter
@@ -130,22 +124,6 @@ class Candidate:
 
     event: EmissionEvent
     spurious: bool
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Tolerances for :func:`solve` and friends.
-
-    ``time_tol`` is the slack used for the spurious flag; ``None`` picks
-    1e-9 times the spread of the input (time span plus sensor diameter).
-    ``degeneracy_tol`` decides when a reduced-quadratic coefficient counts
-    as zero; the leading coefficient is dimensionless so an absolute
-    threshold is meaningful.
-    """
-
-    rank_tol: float = linalg.DEFAULT_RANK_TOL
-    time_tol: float | None = None
-    degeneracy_tol: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +182,10 @@ def measurement_matrix(sensors: SensorArray, times) -> np.ndarray:
     Row i is ``(-2 t_i, 2 a_i, -1)`` acting on the unknown vector
     ``(t, x, ||x||^2 - t^2)``.
     """
-    t = _as_times(times, sensors.count)
+    return _linearise(sensors, _as_times(times, sensors.count))
+
+
+def _linearise(sensors: SensorArray, t: np.ndarray) -> np.ndarray:
     m, n = sensors.positions.shape
     out = np.empty((m, n + 2))
     out[:, 0] = -2.0 * t
@@ -213,104 +194,80 @@ def measurement_matrix(sensors: SensorArray, times) -> np.ndarray:
     return out
 
 
-def geometry_matrix(sensors: SensorArray) -> np.ndarray:
-    """The m x (n+1) sub-matrix ``(2 a_i, -1)`` that depends on geometry only.
-
-    Full column rank here is equivalent to the sensors affinely spanning
-    R^n.
-    """
-    m, n = sensors.positions.shape
-    out = np.empty((m, n + 1))
-    out[:, :n] = 2.0 * sensors.positions
-    out[:, n] = -1.0
-    return out
-
-
 def _rhs(sensors: SensorArray, t: np.ndarray) -> np.ndarray:
     # ||a_i||^2 - t_i^2, the constant side of the squared equations.
     return (sensors.positions * sensors.positions).sum(axis=1) - t * t
-
-
-def _default_time_tol(sensors: SensorArray, t: np.ndarray) -> float:
-    spread = float(t.max() - t.min()) if t.size else 0.0
-    return 1e-9 * (spread + sensors.diameter())
 
 
 def _spurious(t_emit: float, t: np.ndarray, time_tol: float) -> bool:
     return bool(t.min() < t_emit - time_tol)
 
 
-def solve_full_rank(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> EmissionEvent:
-    """Solve the full-column-rank case by one least-squares solve.
+def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SolveResult:
+    """Multilaterate one event from per-sensor reception times.
 
-    Raises :class:`RankDeficient` if the linearised system does not have
-    numeric rank n+2, in which case :func:`solve_rank_deficient` applies.
-    """
-    t = _as_times(times, sensors.count)
-    n = sensors.dim
-    if sensors.count < n + 2:
-        raise RankDeficient(
-            f"{sensors.count} sensors cannot give rank {n + 2}; use the quadratic path"
-        )
-    amat = measurement_matrix(sensors, t)
-    solution = linalg.least_squares_solve(amat, _rhs(sensors, t), rank_tol)
-    return EmissionEvent(solution[0], solution[1 : n + 1])
+    Sensors at known positions ``a_1, ..., a_m`` in R^n each record the
+    time a signal arrived.  With the propagation speed normalised to 1, an
+    emission event ``(t, x)`` satisfies ``||a_i - x|| = t_i - t`` for every
+    sensor.  Squaring these equations makes them linear in the unknowns
+    ``(t, x, w)`` with ``w = ||x||^2 - t^2``: the m x (n+2) system
+    ``A (t, x, w) = ||a_i||^2 - t_i^2`` with ``A`` the
+    :func:`measurement_matrix`.  At least n+1 sensors are required.  The
+    numeric rank of ``A`` (at ``rank_tol``) is decided once.  For n+1
+    sensors it takes no SVD: ``A`` then has n+1 rows, and spanning sensors
+    give it rank n+1.
 
+    * Rank n+2 (``FULL_RANK`` path): one least-squares solve yields the
+      unique event.
+    * Lower rank (``QUADRATIC`` path): the sensors must affinely span R^n
+      (:class:`NotSpanning` otherwise).  A least-squares solve against the
+      geometry part ``G = (2 a_i, -1)`` of ``A`` turns the squared equations
+      into the line ``x = t*u + v`` together with a matching scalar pair
+      (alpha, beta) for ``w``; eliminating x leaves
+      ``(||u||^2 - 1) t^2 + (2 u.v - alpha) t + (||v||^2 - beta) = 0``.
+      For spanning sensors the quadratic never loses both its ``t^2`` and
+      ``t`` coefficients at once, so consistent data gives at least one
+      candidate.  :class:`InconsistentTimes` is raised when it has no real
+      root and :class:`DegenerateSystem` when every coefficient vanishes.
 
-def solve_rank_deficient(
-    sensors: SensorArray,
-    times,
-    config: SolveConfig = SolveConfig(),
-    *,
-    rank: int | None = None,
-) -> SolveResult:
-    """Solve via the sensor-geometry reduction and a scalar quadratic.
+    A candidate whose emission time lies after some recorded arrival (by
+    more than 1e-9 times the time span plus the sensor diameter) cannot be
+    a physical event for the one-sided model and is flagged as spurious.
 
-    Requires the sensors to affinely span R^n (:class:`NotSpanning`
-    otherwise).  A least-squares solve against the geometry matrix turns
-    the squared equations into the line ``x = t*u + v`` together with a
-    matching scalar pair (alpha, beta) for the ``||x||^2 - t^2`` component;
-    eliminating x leaves
-    ``(||u||^2 - 1) t^2 + (2 u.v - alpha) t + (||v||^2 - beta) = 0``.
-    (u, alpha) and (v, beta) are correctly rounded (the solve is exact, see
-    :func:`linalg.least_squares_solve`) and each coefficient is rounded
-    once from them (:func:`linalg.fsum_dot`), so no digit depends on the
+    Every solve is exact and rounded once (:func:`linalg.least_squares_solve`),
+    and each quadratic coefficient is rounded once from (u, alpha) and
+    (v, beta) (:func:`linalg.fsum_dot`), so no printed digit depends on the
     BLAS library.
-
-    ``rank`` is the numeric rank of the measurement matrix when the caller
-    has already decided it; it is only reported.  Otherwise it is decided
-    here, except for n+1 sensors: their geometry matrix is square and of
-    full rank n+1, and the measurement matrix, which holds it, has n+1
-    rows, so its rank is n+1 as well.
-
-    Raises :class:`InconsistentTimes` when the quadratic has no real root
-    and :class:`DegenerateSystem` when every coefficient vanishes (which
-    cannot happen for spanning sensors with consistent times).
     """
     t = _as_times(times, sensors.count)
     m, n = sensors.positions.shape
-    gmat = geometry_matrix(sensors)
-    if linalg.numeric_rank(gmat, config.rank_tol) < n + 1:
+    if m < n + 1:
+        raise ValidationError(f"need at least {n + 1} sensors in dimension {n}, got {m}")
+    amat = _linearise(sensors, t)
+    rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
+    time_tol = 1e-9 * (float(t.max() - t.min()) + sensors.diameter())
+    if rank == n + 2:
+        solution = linalg.least_squares_solve(amat, _rhs(sensors, t), rank=rank)
+        event = EmissionEvent(solution[0], solution[1 : n + 1])
+        cand = Candidate(event, _spurious(event.time, t, time_tol))
+        return SolveResult(path=SolvePath.FULL_RANK, candidates=(cand,), rank=rank)
+
+    if not sensors.spans_space(rank_tol):
         raise NotSpanning("sensors do not affinely span the ambient space")
-    if rank is None and m == n + 1:
-        rank = n + 1
-    elif rank is None:
-        rank = linalg.numeric_rank(measurement_matrix(sensors, t), config.rank_tol)
     rhs = np.array((2.0 * t, _rhs(sensors, t))).T
-    t_part, const_part = linalg.least_squares_solve(gmat, rhs, config.rank_tol, rank=n + 1).T.tolist()
+    t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs, rank=n + 1).T.tolist()
     u, alpha = t_part[:n], t_part[n]
     v, beta = const_part[:n], const_part[n]
     coeff_a = linalg.fsum_dot(u, u, -1.0)
     coeff_b = 2.0 * linalg.fsum_dot(u, v, -0.5 * alpha)  # scaling by 2 is exact
     coeff_c = linalg.fsum_dot(v, v, -beta)
-    roots = linalg.solve_quadratic(coeff_a, coeff_b, coeff_c, tol=config.degeneracy_tol)
+    roots = linalg.solve_quadratic(coeff_a, coeff_b, coeff_c, tol=_DEGENERACY_TOL)
     if roots.kind is linalg.RootKind.DEGENERATE_ALL:
         raise DegenerateSystem(
             "reduced quadratic vanished identically; reception times are inconsistent"
         )
     if roots.kind is linalg.RootKind.NO_REAL:
         raise InconsistentTimes("no real emission time fits the reception times")
-    time_tol = config.time_tol if config.time_tol is not None else _default_time_tol(sensors, t)
     candidates = tuple(
         Candidate(
             EmissionEvent(root, [root * ue + ve for ue, ve in zip(u, v)]),
@@ -324,32 +281,6 @@ def solve_rank_deficient(
         rank=rank,
         quadratic=(coeff_a, coeff_b, coeff_c),
     )
-
-
-def solve(sensors: SensorArray, times, config: SolveConfig = SolveConfig()) -> SolveResult:
-    """Multilaterate one event from per-sensor reception times.
-
-    Dispatches on the numeric rank of the linearised system: rank n+2 takes
-    the direct least-squares path, anything lower the quadratic path.  At
-    least n+1 sensors are required.  The rank is decided once and passed
-    down to the path that is taken.
-    """
-    t = _as_times(times, sensors.count)
-    m, n = sensors.positions.shape
-    if m < n + 1:
-        raise ValidationError(f"need at least {n + 1} sensors in dimension {n}, got {m}")
-    if m == n + 1:
-        return solve_rank_deficient(sensors, t, config)
-    amat = measurement_matrix(sensors, t)
-    rank = linalg.numeric_rank(amat, config.rank_tol)
-    if rank < n + 2:
-        return solve_rank_deficient(sensors, t, config, rank=rank)
-    # not through solve_full_rank, which would build and rank amat again
-    solution = linalg.least_squares_solve(amat, _rhs(sensors, t), rank=rank)
-    event = EmissionEvent(solution[0], solution[1 : n + 1])
-    time_tol = config.time_tol if config.time_tol is not None else _default_time_tol(sensors, t)
-    cand = Candidate(event, _spurious(event.time, t, time_tol))
-    return SolveResult(path=SolvePath.FULL_RANK, candidates=(cand,), rank=rank)
 
 
 def event_arrivals(sensors: SensorArray, event: EmissionEvent) -> np.ndarray:
@@ -367,10 +298,7 @@ def _affine_rank(points: np.ndarray, rank_tol: float) -> int:
 
 
 def check_geometry(
-    sensors: SensorArray,
-    *,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
-    condition_tol: float = 1e-8,
+    sensors: SensorArray, *, rank_tol: float = linalg.DEFAULT_RANK_TOL
 ) -> GeometryReport:
     """Diagnose whether the sensor geometry guarantees a unique event.
 
@@ -380,7 +308,7 @@ def check_geometry(
     ``(e_i ||a_i||, a_i, 1)`` must be nonzero.  When it holds, distinct
     sources cannot produce identical reception times, so the two quadratic
     candidates can never both be genuine.  Determinants are compared
-    scale-free (normalised by row norms) against ``condition_tol``.
+    scale-free (normalised by row norms) against 1e-8.
     """
     pos = sensors.positions
     m, n = pos.shape
@@ -395,17 +323,14 @@ def check_geometry(
     condition_ok: bool | None = None
     failing: list[tuple[int, ...]] = []
     if m == n + 2:
-        norms = np.linalg.norm(pos, axis=1)
-        base = np.empty((m, m))
-        base[:, 1 : n + 1] = pos
-        base[:, n + 1] = 1.0
         # The determinant flips sign under global sign negation, so fixing
         # the first sign to +1 halves the sweep without losing patterns.
-        for tail in itertools.product((1, -1), repeat=m - 1):
-            signs = (1,) + tail
-            base[:, 0] = np.asarray(signs) * norms
-            if linalg.hadamard_ratio(base) <= condition_tol:
-                failing.append(signs)
+        signs = np.array([(1,) + tail for tail in itertools.product((1, -1), repeat=m - 1)])
+        stack = np.empty((len(signs), m, m))
+        stack[:, :, 0] = signs * np.linalg.norm(pos, axis=1)
+        stack[:, :, 1 : n + 1] = pos
+        stack[:, :, n + 1] = 1.0
+        failing = list(map(tuple, signs[linalg.hadamard_ratio(stack) <= _CONDITION_TOL].tolist()))
         condition_ok = not failing
 
     return GeometryReport(

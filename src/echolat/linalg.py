@@ -174,20 +174,22 @@ def fsum_dot(x: list[float], y: list[float], addend: float = 0.0) -> float:
     )
 
 
-def hadamard_ratio(a) -> float:
+def hadamard_ratio(a):
     """|det| of a square matrix divided by the product of its row norms.
 
-    Hadamard's inequality bounds the ratio by 1, so the value is a
-    scale-free measure of how far the matrix is from singular.  The all-zero
-    matrix (0/0) maps to 0 by convention.
+    ``a`` is one (m, m) matrix, giving a float, or a (k, m, m) stack of
+    them, giving an array of k ratios.  Hadamard's inequality bounds each
+    ratio by 1, so the value is a scale-free measure of how far the matrix
+    is from singular.  The all-zero matrix (0/0) maps to 0 by convention.
+    The entries are not checked: a NaN or Inf entry gives NaN.
     """
-    arr = _as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    denom = float(np.prod(np.linalg.norm(arr, axis=1)))
-    if denom == 0.0:
-        return 0.0
-    return abs(float(np.linalg.det(arr))) / denom
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {arr.shape}")
+    dets = np.abs(np.linalg.det(arr))
+    denom = np.prod(np.sqrt((arr * arr).sum(axis=-1)), axis=-1)
+    ratios = np.divide(dets, denom, out=np.zeros(denom.shape), where=denom > 0.0)
+    return float(ratios) if arr.ndim == 2 else ratios
 
 
 class RootKind(enum.Enum):

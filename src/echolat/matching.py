@@ -32,11 +32,15 @@ from typing import Iterator
 
 import numpy as np
 
+from . import linalg
 from .errors import BudgetExceeded, NumericError, ValidationError
-from .lateration import SensorArray, SolveConfig, SolvePath, solve
+from .lateration import SensorArray, SolvePath, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
+#: Detected events closer than this in time, and than this times the
+#: sensor diameter in every coordinate, are one event.
+_DEDUP_EPS = 1e-6
 _CHUNK_ROWS = 4096
 
 
@@ -91,22 +95,17 @@ class ReceptionTable:
 class MatchConfig:
     """Knobs for :func:`match_events`.
 
-    ``residual_threshold`` is the relation-residual acceptance cutoff.
-    ``dedup_pos_eps`` of None means 1e-6 times the sensor diameter.  With
+    ``residual_threshold`` is the relation-residual acceptance cutoff.  With
     ``keep_ambiguous`` set, tuples whose solve yields two viable candidates
     contribute both (flagged); otherwise they are dropped and counted.
-    ``prune_slack`` of None picks 1e-9 times the scene spread.
+    ``budget`` caps the product of the reception-list sizes, and
+    ``rank_tol`` is passed to :func:`solve`.
     """
 
     residual_threshold: float = 1e-6
-    dedup_time_eps: float = 1e-6
-    dedup_pos_eps: float | None = None
     keep_ambiguous: bool = True
     budget: int = 10_000_000
-    prune: bool = True
-    prune_slack: float | None = None
-    rank_tol: float = 1e-8
-    time_tol: float | None = None
+    rank_tol: float = linalg.DEFAULT_RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,14 +285,6 @@ def match_events(
 
     dist = sensors.pairwise_distances()
     dist2 = dist * dist
-    slack = math.inf
-    if config.prune:
-        slack = config.prune_slack if config.prune_slack is not None else _default_slack(sensors, table)
-    solve_cfg = SolveConfig(rank_tol=config.rank_tol, time_tol=config.time_tol)
-    pos_eps = config.dedup_pos_eps
-    if pos_eps is None:
-        pos_eps = 1e-6 * sensors.diameter()
-
     counters = {"pruned": 0}
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
@@ -301,7 +292,7 @@ def match_events(
     evaluated = 0
     dropped_ambiguous = 0
 
-    for rows in _walk(table.times, dist, slack, counters):
+    for rows in _walk(table.times, dist, _default_slack(sensors, table), counters):
         evaluated += rows.shape[0]
         residuals = batched_relation_residuals(rows, dist2)
         hits = residuals <= config.residual_threshold
@@ -309,7 +300,7 @@ def match_events(
             accepted += 1
             source = tuple(row.tolist())
             try:
-                result = solve(sensors, row, solve_cfg)
+                result = solve(sensors, row, rank_tol=config.rank_tol)
             except NumericError as exc:
                 skipped.append((source, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -330,7 +321,7 @@ def match_events(
                     )
                 )
 
-    events = _dedup_events(found, config.dedup_time_eps, pos_eps)
+    events = _dedup_events(found, _DEDUP_EPS, _DEDUP_EPS * sensors.diameter())
     return MatchReport(
         events=tuple(events),
         candidate_tuples=product,

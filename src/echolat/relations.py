@@ -90,6 +90,8 @@ def relation_residual(dmat) -> float:
     arr = np.asarray(dmat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"relation matrix must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("relation matrix contains NaN or Inf")
     return linalg.hadamard_ratio(arr)
 
 
@@ -106,13 +108,7 @@ def batched_relation_residuals(time_tuples: np.ndarray, dist2: np.ndarray) -> np
             f"time tuples of shape {tt.shape} do not match distances {dist2.shape}"
         )
     dt = tt[:, :, None] - tt[:, None, :]
-    dmats = dt * dt - dist2[None, :, :]
-    dets = np.abs(np.linalg.det(dmats))
-    denom = np.prod(np.sqrt((dmats * dmats).sum(axis=2)), axis=1)
-    out = np.zeros(tt.shape[0])
-    nz = denom > 0.0
-    out[nz] = dets[nz] / denom[nz]
-    return out
+    return linalg.hadamard_ratio(dt * dt - dist2[None, :, :])
 
 
 def cayley_menger_matrix(points, form: QuadraticForm) -> np.ndarray:

@@ -74,10 +74,11 @@ def test_report_counters_are_consistent():
     assert report.pruned_tuples > 0  # the windows actually cut something
 
 
-def test_pruning_does_not_change_the_answer():
+def test_pruning_does_not_change_the_answer(monkeypatch):
     sensors, _, table = _scene(212)
     pruned = el.match_events(sensors, table)
-    full = el.match_events(sensors, table, el.MatchConfig(prune=False))
+    monkeypatch.setattr(matching, "_default_slack", lambda sensors, table: math.inf)
+    full = el.match_events(sensors, table)
     assert full.pruned_tuples == 0
     assert full.evaluated_tuples == full.candidate_tuples
     # the unpruned sweep accepts more tuples: a matrix of pure (t_i - t_j)^2
