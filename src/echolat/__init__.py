@@ -65,10 +65,8 @@ from .matching import (
     MatchReport,
     ReceptionTable,
     match_events,
-    prune_tuples,
 )
 from .acoustics import (
-    EchoScene,
     GoodnessReport,
     Room,
     Wall,
@@ -100,9 +98,9 @@ __all__ = [
     "relation_matrix", "relation_residual",
     # matching
     "DetectedEvent", "MatchConfig", "MatchReport", "ReceptionTable",
-    "match_events", "prune_tuples",
+    "match_events",
     # acoustics
-    "EchoScene", "GoodnessReport", "Room", "Wall", "WallDetection",
+    "GoodnessReport", "Room", "Wall", "WallDetection",
     "detect_walls", "goodness_check", "mirror_point", "same_plane",
     "simulate_echoes", "wall_from_mirror",
     # scenarios

@@ -6,7 +6,8 @@ therefore splits into two steps: recover the virtual sources from the
 unlabelled reception times (:func:`echolat.matching.match_events`), then
 map every virtual source back to the wall that is the perpendicular
 bisector between it and the true source.  Events recovered at the source
-itself correspond to the direct sound, not to a wall.
+itself correspond to the direct sound, not to a wall.  :func:`simulate_echoes`
+runs the other way, with one emission from each mirror point.
 
 A sensor position is *good* for a room when no combination of echoes from
 different walls masquerades as a single consistent event — i.e. when the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMirror, DimensionMismatch, ValidationError
-from .lateration import SensorArray
+from .lateration import EmissionEvent, SensorArray
 from .linalg import fsum_dot
 from .matching import (
     _CHUNK_ROWS,
@@ -166,34 +167,6 @@ class Room:
         return np.vstack([mirror_point(w, self.loudspeaker) for w in self.walls])
 
 
-@dataclass(frozen=True, eq=False)
-class EchoScene:
-    """Virtual sources of one emission: mirror points, pairwise distinct."""
-
-    mirror_points: np.ndarray
-    emission_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.mirror_points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError(f"mirror points must form a 2-d array, got shape {pts.shape}")
-        if not np.isfinite(pts).all() or not np.isfinite(self.emission_time):
-            raise ValidationError("mirror points and emission time must be finite")
-        if pts.shape[0] >= 2:
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt((diff * diff).sum(axis=2))
-            iu = np.triu_indices(pts.shape[0], k=1)
-            if np.any(dist[iu] <= _MIRROR_EPS):
-                raise ValidationError("mirror points must be pairwise distinct (1e-9)")
-        pts.setflags(write=False)
-        object.__setattr__(self, "mirror_points", pts)
-        object.__setattr__(self, "emission_time", float(self.emission_time))
-
-    @classmethod
-    def from_room(cls, room: Room, emission_time: float = 0.0) -> "EchoScene":
-        return cls(room.mirror_points(), emission_time)
-
-
 def simulate_echoes(
     room: Room,
     sensors: SensorArray,
@@ -205,39 +178,27 @@ def simulate_echoes(
 ) -> ReceptionTable:
     """Exact first-order reception table for a room and sensor layout.
 
-    Each sensor receives one echo per wall at ``emission_time`` plus its
-    distance to the wall's mirror point, plus the direct sound when
-    ``include_direct`` is set.  ``dropout`` is an iterable of
-    (wall_index, sensor_index) pairs whose echo is omitted; ``spurious`` an
-    iterable of (sensor_index, time) entries injected verbatim.
+    :meth:`ReceptionTable.from_events` of one emission at ``emission_time``
+    from each wall's mirror point, which must be pairwise distinct (1e-9),
+    plus one from the loudspeaker when ``include_direct`` is set.
+    ``dropout`` is an iterable of (wall_index, sensor_index) pairs whose
+    echo is omitted; ``spurious`` an iterable of (sensor_index, time)
+    entries injected verbatim.
     """
     if sensors.dim != room.dim:
         raise DimensionMismatch(f"sensors have dimension {sensors.dim}, room {room.dim}")
-    scene = EchoScene.from_room(room, emission_time)
-    sources = [scene.mirror_points[k] for k in range(len(room.walls))]
-    dropped = set()
-    for wall_index, sensor_index in dropout:
-        if not (0 <= wall_index < len(room.walls) and 0 <= sensor_index < sensors.count):
-            raise ValidationError(f"dropout entry ({wall_index}, {sensor_index}) out of range")
-        dropped.add((int(wall_index), int(sensor_index)))
-
-    lists: list[list[float]] = [[] for _ in range(sensors.count)]
-    for w, src in enumerate(sources):
-        gaps = sensors.positions - src
-        arrivals = emission_time + np.sqrt((gaps * gaps).sum(axis=1))
-        for i in range(sensors.count):
-            if (w, i) not in dropped:
-                lists[i].append(float(arrivals[i]))
+    points = room.mirror_points()
+    gaps = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((gaps * gaps).sum(axis=2))
+    if np.any(dist[np.triu_indices(len(points), k=1)] <= _MIRROR_EPS):
+        raise ValidationError("mirror points must be pairwise distinct (1e-9)")
+    dropout = tuple(dropout)
+    if any(wall_index >= len(points) for wall_index, _ in dropout):  # not the direct sound
+        raise ValidationError(f"dropout names a wall past the room's {len(points)} walls")
+    events = [EmissionEvent(emission_time, point) for point in points]
     if include_direct:
-        gaps = sensors.positions - room.loudspeaker
-        arrivals = emission_time + np.sqrt((gaps * gaps).sum(axis=1))
-        for i in range(sensors.count):
-            lists[i].append(float(arrivals[i]))
-    for sensor_index, time in spurious:
-        if not 0 <= sensor_index < sensors.count:
-            raise ValidationError(f"spurious entry names sensor {sensor_index}, have {sensors.count}")
-        lists[int(sensor_index)].append(float(time))
-    return ReceptionTable.from_lists(lists)
+        events.append(EmissionEvent(emission_time, room.loudspeaker))
+    return ReceptionTable.from_events(sensors, events, dropout=dropout, spurious=spurious)
 
 
 @dataclass(frozen=True, eq=False)

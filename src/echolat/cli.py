@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .acoustics import detect_walls, goodness_check, simulate_echoes
 from .errors import NumericError, ParseError, ValidationError
-from .lateration import SensorArray, check_geometry, event_arrivals, solve
+from .lateration import SensorArray, check_geometry, solve
 from .matching import MatchConfig, ReceptionTable, match_events
 from .scenario import Scenario, load_scenario
 
@@ -165,14 +165,9 @@ def _simulated_table(scenario: Scenario):
             spurious=scenario.spurious,
         )
     if scenario.events:
-        lists: list[list[float]] = [[] for _ in range(scenario.sensors.count)]
-        for event in scenario.events:
-            arrivals = event_arrivals(scenario.sensors, event)
-            for i in range(scenario.sensors.count):
-                lists[i].append(float(arrivals[i]))
-        for sensor_index, time in scenario.spurious:
-            lists[sensor_index].append(time)
-        return ReceptionTable.from_lists(lists)
+        return ReceptionTable.from_events(
+            scenario.sensors, scenario.events, spurious=scenario.spurious
+        )
     raise ValidationError("simulation needs a room or events in the scenario")
 
 

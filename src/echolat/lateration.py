@@ -141,13 +141,6 @@ class SolveResult:
     rank: int
     quadratic: tuple[float, float, float] | None = None
 
-    def best(self) -> Candidate:
-        """First non-spurious candidate, else the first candidate."""
-        for cand in self.candidates:
-            if not cand.spurious:
-                return cand
-        return self.candidates[0]
-
 
 @dataclass(frozen=True)
 class GeometryReport:
@@ -247,7 +240,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
     time_tol = 1e-9 * (float(t.max() - t.min()) + sensors.diameter())
     if rank == n + 2:
-        solution = linalg.least_squares_solve(amat, _rhs(sensors, t), rank=rank)
+        solution = linalg.least_squares_solve(amat, _rhs(sensors, t))
         event = EmissionEvent(solution[0], solution[1 : n + 1])
         cand = Candidate(event, _spurious(event.time, t, time_tol))
         return SolveResult(path=SolvePath.FULL_RANK, candidates=(cand,), rank=rank)
@@ -255,7 +248,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     if not sensors.spans_space(rank_tol):
         raise NotSpanning("sensors do not affinely span the ambient space")
     rhs = np.array((2.0 * t, _rhs(sensors, t))).T
-    t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs, rank=n + 1).T.tolist()
+    t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
     u, alpha = t_part[:n], t_part[n]
     v, beta = const_part[:n], const_part[n]
     coeff_a = linalg.fsum_dot(u, u, -1.0)

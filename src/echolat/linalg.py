@@ -5,11 +5,11 @@ numeric rank is decided, how a least-squares solve reports rank
 deficiency, and how quadratic roots are classified in the presence of
 degenerate leading coefficients.
 
-Rank decisions use numpy's SVD, singular values against a relative cutoff;
-a decision can only move where a singular value sits at that cutoff.  The
-steps that produce digits do not go through BLAS or LAPACK:
-:func:`least_squares_solve` solves exactly in integer arithmetic and
-rounds once, and :func:`fsum_dot` rounds a dot product once with
+Only :func:`numeric_rank` decides a rank, with numpy's SVD: singular
+values against a relative cutoff.  The steps that produce digits do not go
+through BLAS or LAPACK: :func:`least_squares_solve` solves exactly in
+integer arithmetic, refusing only exactly dependent columns, and rounds
+once, and :func:`fsum_dot` rounds a dot product once with
 :func:`math.fsum`.  Their results are the same under every BLAS kernel and
 on every IEEE-754 machine.  :func:`hadamard_ratio` still calls
 ``np.linalg.det``.
@@ -57,17 +57,16 @@ def numeric_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def least_squares_solve(
-    a, b, rel_tol: float = DEFAULT_RANK_TOL, *, rank: int | None = None
-) -> np.ndarray:
+def least_squares_solve(a, b) -> np.ndarray:
     """Least-squares solution of ``a @ x = b`` for full-column-rank ``a``.
 
     ``b`` is one right-hand side of length m, or an (m, r) array of r of
     them; the result has the same layout, with n rows in place of m.
-    Raises :class:`RankDeficient` when the numeric rank of ``a`` (at
-    ``rel_tol``) is below its column count, instead of silently returning
-    one of infinitely many minimisers.  A caller that has already decided
-    that rank passes it as ``rank``, and no SVD is run again.
+    Raises :class:`RankDeficient` when the columns of ``a`` are exactly
+    dependent, instead of returning one of infinitely many minimisers.
+    No numeric rank is decided here: a caller that needs one decides it
+    with :func:`numeric_rank` first, and a matrix that is only numerically
+    deficient is solved.
 
     The solution is computed exactly, in integer arithmetic, and rounded
     once: it is the correctly rounded least-squares solution of the given
@@ -83,12 +82,6 @@ def least_squares_solve(
         raise ValueError("rhs contains NaN or Inf entries")
     if arr.shape[0] < arr.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {arr.shape}")
-    if rank is None:
-        rank = numeric_rank(arr, rel_tol)
-    if rank < arr.shape[1]:
-        raise RankDeficient(
-            f"matrix has numeric rank {rank} < {arr.shape[1]} columns"
-        )
     augmented = np.concatenate((arr, rhs[:, None] if rhs.ndim == 1 else rhs), axis=1)
     solutions = _exact_lstsq(augmented, arr.shape[1])
     if rhs.ndim == 1:
@@ -174,22 +167,20 @@ def fsum_dot(x: list[float], y: list[float], addend: float = 0.0) -> float:
     )
 
 
-def hadamard_ratio(a):
-    """|det| of a square matrix divided by the product of its row norms.
+def hadamard_ratio(stack) -> np.ndarray:
+    """|det| of each matrix in a (k, m, m) stack over the product of its row norms.
 
-    ``a`` is one (m, m) matrix, giving a float, or a (k, m, m) stack of
-    them, giving an array of k ratios.  Hadamard's inequality bounds each
-    ratio by 1, so the value is a scale-free measure of how far the matrix
-    is from singular.  The all-zero matrix (0/0) maps to 0 by convention.
-    The entries are not checked: a NaN or Inf entry gives NaN.
+    Hadamard's inequality bounds each of the k ratios by 1, so each is a
+    scale-free measure of how far its matrix is from singular.  The
+    all-zero matrix (0/0) maps to 0 by convention.  The entries are not
+    checked: a NaN or Inf entry gives NaN.
     """
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"need a square matrix or a stack of them, got shape {arr.shape}")
+    arr = np.asarray(stack, dtype=float)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"need a (k, m, m) stack of square matrices, got shape {arr.shape}")
     dets = np.abs(np.linalg.det(arr))
     denom = np.prod(np.sqrt((arr * arr).sum(axis=-1)), axis=-1)
-    ratios = np.divide(dets, denom, out=np.zeros(denom.shape), where=denom > 0.0)
-    return float(ratios) if arr.ndim == 2 else ratios
+    return np.divide(dets, denom, out=np.zeros(denom.shape), where=denom > 0.0)
 
 
 class RootKind(enum.Enum):

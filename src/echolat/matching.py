@@ -15,18 +15,19 @@ cost scales with the number of plausible tuples rather than the full
 product.  The full product size is still counted exactly and guarded by a
 budget.
 
-One breadth-first walk serves both :func:`match_events` and
-:func:`prune_tuples`: it finds the windows of a whole block of prefixes
-with one ``searchsorted`` per side and extends the block in pieces of at
-most ``_CHUNK_ROWS`` rows, a size whose (k, m, m) screen temporaries fit
-in a per-core L2 cache.  Every piece is walked to the last sensor before
-the next one is built, so tuples come out in lexicographic order and
-memory stays bounded.
+One breadth-first walk feeds the screen: it finds the windows of a whole
+block of prefixes with one ``searchsorted`` per side and extends the block
+in pieces of at most ``_CHUNK_ROWS`` rows, a size whose (k, m, m) screen
+temporaries fit in a per-core L2 cache.  Every piece is walked to the last
+sensor before the next one is built, so tuples come out in lexicographic
+order and memory stays bounded.  :meth:`ReceptionTable.from_events` is the
+one place where reception tables are built from emissions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NumericError, ValidationError
-from .lateration import SensorArray, SolvePath, solve
+from .lateration import SensorArray, SolvePath, event_arrivals, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
@@ -74,6 +75,28 @@ class ReceptionTable:
     def from_lists(cls, lists) -> "ReceptionTable":
         return cls(tuple(np.asarray(entry, dtype=float) for entry in lists))
 
+    @classmethod
+    def from_events(cls, sensors, events, *, dropout=(), spurious=()) -> "ReceptionTable":
+        """What a :class:`SensorArray` receives from :class:`EmissionEvent` objects.
+
+        Every event reaches every sensor at :func:`event_arrivals`.
+        ``dropout`` holds (event_index, sensor_index) pairs whose arrival is
+        left out, and ``spurious`` holds (sensor_index, time) entries added
+        as given.  An index that is not an integer, or is out of range,
+        raises :class:`ValidationError`.
+        """
+        events = tuple(events)
+        m = sensors.count
+        arrivals = np.array([event_arrivals(sensors, ev) for ev in events]).reshape(len(events), m)
+        keep = np.ones(arrivals.shape, dtype=bool)
+        for event_index, sensor_index in dropout:
+            event_index = _index(event_index, len(events), "dropout event")
+            keep[event_index, _index(sensor_index, m, "dropout sensor")] = False
+        extra: list[list[float]] = [[] for _ in range(m)]
+        for sensor_index, time in spurious:
+            extra[_index(sensor_index, m, "spurious sensor")].append(float(time))
+        return cls(tuple(np.concatenate((arrivals[keep[:, i], i], extra[i])) for i in range(m)))
+
     @property
     def count(self) -> int:
         return len(self.times)
@@ -89,6 +112,13 @@ class ReceptionTable:
         if not entries:
             return 0.0
         return float(max(arr[-1] for arr in entries) - min(arr[0] for arr in entries))
+
+
+def _index(value, size: int, what: str) -> int:
+    index = operator.index(value) if hasattr(type(value), "__index__") else -1
+    if not 0 <= index < size:
+        raise ValidationError(f"{what} index {value!r} is not an integer in [0, {size})")
+    return index
 
 
 @dataclass(frozen=True)
@@ -129,7 +159,8 @@ class DetectedEvent:
 class MatchReport:
     """Outcome of a matching sweep.
 
-    ``candidate_tuples`` is the full Cartesian-product size;
+    ``candidate_tuples`` is the full Cartesian-product size, of which the
+    window walk skips ``pruned_tuples`` and screens ``evaluated_tuples``;
     ``rejected_tuples`` counts every tuple ruled out at any stage, i.e.
     ``candidate_tuples - accepted_tuples``.  ``skipped`` lists accepted
     tuples whose solve failed numerically, as (tuple, reason) pairs.
@@ -150,28 +181,18 @@ def _default_slack(sensors: SensorArray, table: ReceptionTable) -> float:
     return 1e-9 * (sensors.diameter() + table.span()) + 1e-12
 
 
-def _walk(
-    arrays: tuple[np.ndarray, ...],
-    dist: np.ndarray,
-    slack: float,
-    counters: dict,
-) -> Iterator[np.ndarray]:
+def _walk(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> Iterator[np.ndarray]:
     """Walk the pruned product breadth-first, yielding (k, m) blocks of tuples.
 
-    Each step takes a block of prefixes over the first l sensors, finds
+    A tuple survives when ``|t_i - t_j| <= d_ij + slack`` for every sensor
+    pair.  Each step takes a block of prefixes over the first l sensors, finds
     every prefix's window ``arrays[l][lo:hi]`` at once and extends the
     block piece by piece: a piece holds the extensions of consecutive
     prefixes, at most ``_CHUNK_ROWS`` rows unless one prefix alone has
     more, and is walked to the last sensor before the next piece is built.
     The yielded rows therefore come out in lexicographic order.
-    ``counters['pruned']`` accumulates the exact number of full-product
-    tuples skipped by window pruning.
     """
     m = len(arrays)
-    sizes = [arr.size for arr in arrays]
-    suffix = [1] * (m + 1)
-    for i in reversed(range(m)):
-        suffix[i] = suffix[i + 1] * sizes[i]
 
     def extend(prefixes: np.ndarray) -> Iterator[np.ndarray]:
         level = prefixes.shape[1]
@@ -186,7 +207,6 @@ def _walk(
             counts = np.maximum(np.searchsorted(arr, hi_t, side="right") - lo, 0)
         ends = np.cumsum(counts)
         total = int(ends[-1])
-        counters["pruned"] += (sizes[level] * len(counts) - total) * suffix[level + 1]
         done = 0
         while done < total:
             start = int(np.searchsorted(ends, done, side="right"))
@@ -204,28 +224,6 @@ def _walk(
             done += rows
 
     yield from extend(np.empty((1, 0)))
-
-
-def prune_tuples(
-    sensors: SensorArray,
-    table: ReceptionTable,
-    slack: float | None = None,
-) -> Iterator[tuple[float, ...]]:
-    """Yield the time tuples surviving pairwise triangle-window pruning.
-
-    A tuple survives exactly when ``|t_i - t_j| <= d_ij + slack`` for every
-    sensor pair; every tuple originating from one common event survives,
-    because its time gaps obey the reverse triangle inequality exactly.
-    ``slack=math.inf`` yields the full product.
-    """
-    if table.count != sensors.count:
-        raise ValidationError(
-            f"table has {table.count} sensors, array has {sensors.count}"
-        )
-    if slack is None:
-        slack = _default_slack(sensors, table)
-    for block in _walk(table.times, sensors.pairwise_distances(), slack, {"pruned": 0}):
-        yield from map(tuple, block.tolist())
 
 
 def _dedup_events(
@@ -285,14 +283,13 @@ def match_events(
 
     dist = sensors.pairwise_distances()
     dist2 = dist * dist
-    counters = {"pruned": 0}
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted = 0
     evaluated = 0
     dropped_ambiguous = 0
 
-    for rows in _walk(table.times, dist, _default_slack(sensors, table), counters):
+    for rows in _walk(table.times, dist, _default_slack(sensors, table)):
         evaluated += rows.shape[0]
         residuals = batched_relation_residuals(rows, dist2)
         hits = residuals <= config.residual_threshold
@@ -325,7 +322,7 @@ def match_events(
     return MatchReport(
         events=tuple(events),
         candidate_tuples=product,
-        pruned_tuples=counters["pruned"],
+        pruned_tuples=product - evaluated,
         evaluated_tuples=evaluated,
         accepted_tuples=accepted,
         rejected_tuples=product - accepted,

@@ -92,7 +92,7 @@ def relation_residual(dmat) -> float:
         raise ValidationError(f"relation matrix must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("relation matrix contains NaN or Inf")
-    return linalg.hadamard_ratio(arr)
+    return float(linalg.hadamard_ratio(arr[None])[0])
 
 
 def batched_relation_residuals(time_tuples: np.ndarray, dist2: np.ndarray) -> np.ndarray:

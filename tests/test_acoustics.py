@@ -134,13 +134,13 @@ def test_room_validation():
     assert empty.mirror_points().shape == (0, 2)
 
 
-def test_echo_scene_distinct_mirrors():
+def test_simulate_rejects_coinciding_mirror_points():
+    wall = el.Wall([0.0, 0.0, 1.0], 0.0)
+    room = el.Room((wall, el.Wall([0.0, 0.0, 2.0], 0.0)), [0.0, 0.0, 1.0])
+    sensors = el.SensorArray([[0.0, 0.0, 2.0], [1.0, 0.0, 1.0]])
     with pytest.raises(el.ValidationError):
-        el.EchoScene(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    room, _ = shoebox()
-    scene = el.EchoScene.from_room(room, emission_time=2.0)
-    assert scene.mirror_points.shape == (6, 3)
-    assert scene.emission_time == 2.0
+        el.simulate_echoes(room, sensors)
+    assert el.simulate_echoes(el.Room((wall,), [0.0, 0.0, 1.0]), sensors).sizes() == (1, 1)
 
 
 def test_simulate_single_wall_reception_times():
@@ -172,6 +172,21 @@ def test_simulate_dropout_and_spurious():
         el.simulate_echoes(room, sensors, spurious=[(7, 1.0)])
     with pytest.raises(el.DimensionMismatch):
         el.simulate_echoes(room, el.SensorArray([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(el.ValidationError):  # wall 6 would be the direct sound
+        el.simulate_echoes(room, sensors, include_direct=True, dropout=[(6, 0)])
+
+
+def test_simulate_rejects_fractional_indices():
+    room, sensors = shoebox()
+    for entries in ([(0.5, 0)], [(0, 1.5)], [(np.float64(1.0), 0)]):
+        with pytest.raises(el.ValidationError):
+            el.simulate_echoes(room, sensors, dropout=entries)
+    with pytest.raises(el.ValidationError):
+        el.simulate_echoes(room, sensors, spurious=[(1.7, 3.0)])
+    table = el.simulate_echoes(
+        room, sensors, dropout=[(np.int64(0), np.int32(0))], spurious=[(np.int64(1), 3.0)]
+    )
+    assert table.sizes() == (5, 7, 6, 6, 6)
 
 
 def test_detect_walls_shoebox():

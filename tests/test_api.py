@@ -2,7 +2,56 @@
 
 from __future__ import annotations
 
+import importlib
+
 import echolat as el
+
+PUBLIC_NAMES = [
+    "BudgetExceeded", "Candidate", "DegenerateMirror", "DegenerateSystem", "DetectedEvent",
+    "DimensionMismatch", "EcholatError", "EmissionEvent", "GeometryReport", "GoodnessReport",
+    "InconsistentTimes", "LengthMismatch", "MatchConfig", "MatchReport", "NotSpanning",
+    "NumericError", "ParseError", "QuadraticForm", "QuadraticRoots", "RankDeficient",
+    "ReceptionTable", "Room", "RootKind", "Scenario", "SensorArray", "SolvePath",
+    "SolveResult", "ValidationError", "Wall", "WallDetection", "__version__",
+    "batched_relation_residuals", "cayley_menger_matrix", "check_geometry", "detect_walls",
+    "event_arrivals", "goodness_check", "least_squares_solve", "load_scenario",
+    "match_events", "measurement_matrix", "mirror_point", "numeric_rank", "parse_scenario",
+    "relation_matrix", "relation_residual", "same_plane", "simulate_echoes", "solve",
+    "solve_quadratic", "wall_from_mirror",
+]
+
+#: What ``perfbench/workloads.py`` calls, as (module, dotted attribute).
+BENCHMARK_ENTRY_POINTS = [
+    ("echolat", "ReceptionTable.from_lists"),
+    ("echolat", "ReceptionTable.product_size"),
+    ("echolat", "SensorArray.pairwise_distances"),
+    ("echolat", "SensorArray.diameter"),
+    ("echolat", "check_geometry"),
+    ("echolat", "MatchConfig"),
+    ("echolat", "match_events"),
+    ("echolat", "solve"),
+    ("echolat", "load_scenario"),
+    ("echolat.cli", "main"),
+    ("echolat.acoustics", "detect_walls"),
+    ("echolat.acoustics", "Room.mirror_points"),
+]
+
+#: The module attributes the benchmark's tracer replaces with timed wrappers.
+TRACER_SEAMS = [
+    ("echolat", "solve"),
+    ("echolat", "match_events"),
+    ("echolat.cli", "main"),
+    ("echolat.cli", "load_scenario"),
+    ("echolat.cli", "goodness_check"),
+    ("echolat.linalg", "numeric_rank"),
+    ("echolat.linalg", "least_squares_solve"),
+    ("echolat.matching", "solve"),
+    ("echolat.matching", "batched_relation_residuals"),
+    ("echolat.acoustics", "match_events"),
+    ("echolat.acoustics", "simulate_echoes"),
+    ("echolat.acoustics", "detect_walls"),
+    ("echolat.acoustics", "batched_relation_residuals"),
+]
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +61,15 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_unique():
     assert len(el.__all__) == len(set(el.__all__))
+
+
+def test_exported_names_are_the_public_api():
+    assert sorted(el.__all__) == PUBLIC_NAMES
+
+
+def test_benchmark_entry_points_resolve():
+    for module, dotted in BENCHMARK_ENTRY_POINTS + TRACER_SEAMS:
+        target = importlib.import_module(module)
+        for part in dotted.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module}.{dotted}"

@@ -100,6 +100,41 @@ def test_simulate_shoebox(capsys):
         assert len(line.split()[2:]) == 7
 
 
+def test_simulate_events_with_speed_and_spurious(capsys, tmp_path):
+    doc = {
+        "name": "events_speed",
+        "dimension": 2,
+        "speed": 3.0,
+        "sensors": [[0, 0], [4, 0], [0, 3], [4, 3]],
+        "events": [
+            {"time": 0.5, "position": [1.0, 1.0]},
+            {"time": 2.25, "position": [3.0, 0.5]},
+        ],
+        "spurious": [{"sensor": 2, "time": 1.75}],
+    }
+    path = tmp_path / "events_speed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 0 and err == ""
+    assert out == (
+        f"echolat {__version__}\n"
+        "command: simulate\n"
+        "scenario: events_speed\n"
+        "dimension: 2\n"
+        "sensors: 4\n"
+        "speed: 3.0\n"
+        "config: tolerance=1e-06 rank-tol=1e-08 budget=10000000 keep-ambiguous=true seed=0\n"
+        "walls: 0\n"
+        "events: 2\n"
+        "include-direct: false\n"
+        "emission-time: 0.0\n"
+        "sensor 0: 2.914213562373095 9.79138126514911\n"
+        "sensor 1: 4.66227766016838 7.868033988749895\n"
+        "sensor 2: 3.73606797749979 5.25 10.655124837953327\n"
+        "sensor 3: 5.10555127546399 9.442582403567252\n"
+    )
+
+
 def test_check_geometry_reports_failing_pattern(capsys):
     code, out, _ = run_cli(capsys, "check-geometry", scenario("ambiguous_3d"))
     assert code == 0
@@ -248,8 +283,8 @@ rng = np.random.default_rng(2207)
 sensors = el.SensorArray(rng.uniform(-1.0, 1.0, (5, 3)))
 event = el.EmissionEvent(float(rng.uniform(0.0, 2.0)), rng.uniform(-1.0, 1.0, 3))
 result = el.solve(sensors, el.event_arrivals(sensors, event))
-best = result.best().event
-print(result.path.value, result.rank, repr(best.time), [repr(float(x)) for x in best.position])
+found = result.candidates[0].event
+print(result.path.value, result.rank, repr(found.time), [repr(float(x)) for x in found.position])
 """
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -189,17 +188,17 @@ def test_match_requires_exact_sensor_count():
         el.match_events(sensors5, el.ReceptionTable.from_lists([[1.0]] * 4))
 
 
-def test_prune_tuples_full_product_with_infinite_slack():
-    sensors, _, table = _scene(213)
-    got = list(el.prune_tuples(sensors, table, slack=math.inf))
-    want = [tuple(float(t) for t in combo) for combo in itertools.product(*table.times)]
-    assert got == want
+def _survivors(sensors, table):
+    """The tuples the match's window walk hands to the screen."""
+    slack = matching._default_slack(sensors, table)
+    blocks = matching._walk(table.times, sensors.pairwise_distances(), slack)
+    return [tuple(row) for block in blocks for row in block.tolist()]
 
 
 def test_prune_tuples_never_drops_a_true_event():
     for seed in (211, 212, 213, 214):
         sensors, events, table = _scene(seed)
-        survivors = set(el.prune_tuples(sensors, table))
+        survivors = set(_survivors(sensors, table))
         for ev in events:
             assert tuple(el.event_arrivals(sensors, ev)) in survivors
 
@@ -209,16 +208,29 @@ def test_prune_tuples_cuts_far_receptions():
     lists = [list(arr) for arr in table.times]
     lists[0].append(1000.0)  # no other sensor hears anything near t=1000
     table2 = el.ReceptionTable.from_lists(lists)
-    survivors = list(el.prune_tuples(sensors, table2))
+    survivors = _survivors(sensors, table2)
     assert all(row[0] != 1000.0 for row in survivors)
-    assert len(survivors) == len(list(el.prune_tuples(sensors, table)))
+    assert len(survivors) == len(_survivors(sensors, table))
 
 
-def test_prune_tuples_table_size_validation():
-    rng = np.random.default_rng(15)
-    sensors = random_sensors(rng, 5, 3)
-    with pytest.raises(el.ValidationError):
-        list(el.prune_tuples(sensors, el.ReceptionTable.from_lists([[1.0]] * 4)))
+def test_table_from_events():
+    sensors, events, table = _scene(211)
+    built = el.ReceptionTable.from_events(sensors, events)
+    assert [arr.tolist() for arr in built.times] == [arr.tolist() for arr in table.times]
+    built = el.ReceptionTable.from_events(
+        sensors, events, dropout=[(np.int64(1), 0), (2, 4)], spurious=[(4, 50.0)]
+    )
+    arrivals = [el.event_arrivals(sensors, ev) for ev in events]
+    assert built.sizes() == (2, 3, 3, 3, 3)
+    assert built.times[0].tolist() == sorted([arrivals[0][0], arrivals[2][0]])
+    assert built.times[4].tolist() == sorted([arrivals[0][4], arrivals[1][4], 50.0])
+    assert el.ReceptionTable.from_events(sensors, []).sizes() == (0,) * 5
+    for bad in ([(3, 0)], [(0, 5)], [(-1, 0)], [(1.0, 0)]):
+        with pytest.raises(el.ValidationError):
+            el.ReceptionTable.from_events(sensors, events, dropout=bad)
+    for bad in ([(5, 1.0)], [(np.float64(2.0), 1.0)]):
+        with pytest.raises(el.ValidationError):
+            el.ReceptionTable.from_events(sensors, events, spurious=bad)
 
 
 def test_empty_reception_list_means_no_events():
@@ -260,15 +272,14 @@ def test_walk_matches_the_reference_walk(scene, slack, chunk_rows):
         for prefix, lo, hi in survivor_blocks(arrays, dist, slack, want_counts)
         for value in arrays[-1][lo:hi].tolist()
     ]
-    got_counts = {"pruned": 0}
     with pytest.MonkeyPatch.context() as mp:
         if chunk_rows is not None:
             mp.setattr(matching, "_CHUNK_ROWS", chunk_rows)
         limit = max(matching._CHUNK_ROWS, *(arr.size for arr in arrays))
-        blocks = list(matching._walk(arrays, dist, slack, got_counts))
+        blocks = list(matching._walk(arrays, dist, slack))
     assert all(0 < block.shape[0] <= limit for block in blocks)
     assert all(block.shape[1] == len(arrays) for block in blocks)
     got = [tuple(row) for block in blocks for row in block.tolist()]
     assert got == want
-    assert got_counts["pruned"] == want_counts["pruned"]
-    assert got_counts["pruned"] + len(got) == math.prod(arr.size for arr in arrays)
+    # match_events reports the product minus the screened rows as pruned
+    assert math.prod(arr.size for arr in arrays) - len(got) == want_counts["pruned"]
