@@ -13,7 +13,7 @@ A sensor position is *good* for a room when no combination of echoes from
 different walls masquerades as a single consistent event — i.e. when the
 detector finds every wall and nothing else.  :func:`goodness_check` probes
 this empirically by perturbing the sensors and watching for ghost walls and
-for collapsing relation residuals on mixed tuples.
+for collapsing relation residuals on the mixed tuples the matcher screens.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMirror, DimensionMismatch, ValidationError
-from .lateration import EmissionEvent, SensorArray
+from .lateration import EmissionEvent, SensorArray, event_arrivals
 from .linalg import fsum_dot
 from .matching import (
-    _CHUNK_ROWS,
     DetectedEvent,
     MatchConfig,
     MatchReport,
     ReceptionTable,
+    _default_slack,
+    _walk,
     match_events,
 )
 from .relations import batched_relation_residuals
@@ -187,18 +188,28 @@ def simulate_echoes(
     """
     if sensors.dim != room.dim:
         raise DimensionMismatch(f"sensors have dimension {sensors.dim}, room {room.dim}")
+    events = _emitters(room, emission_time, include_direct)
+    dropout = tuple(dropout)
+    if any(wall_index >= len(room.walls) for wall_index, _ in dropout):  # not the direct sound
+        raise ValidationError(f"dropout names a wall past the room's {len(room.walls)} walls")
+    return ReceptionTable.from_events(sensors, events, dropout=dropout, spurious=spurious)
+
+
+def _emitters(room: Room, emission_time: float, include_direct: bool) -> list[EmissionEvent]:
+    """One emission from each wall's mirror point, plus the loudspeaker's.
+
+    The mirror points must be pairwise distinct (1e-9); the loudspeaker
+    comes last and only when ``include_direct`` is set.
+    """
     points = room.mirror_points()
     gaps = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((gaps * gaps).sum(axis=2))
     if np.any(dist[np.triu_indices(len(points), k=1)] <= _MIRROR_EPS):
         raise ValidationError("mirror points must be pairwise distinct (1e-9)")
-    dropout = tuple(dropout)
-    if any(wall_index >= len(points) for wall_index, _ in dropout):  # not the direct sound
-        raise ValidationError(f"dropout names a wall past the room's {len(points)} walls")
     events = [EmissionEvent(emission_time, point) for point in points]
     if include_direct:
         events.append(EmissionEvent(emission_time, room.loudspeaker))
-    return ReceptionTable.from_events(sensors, events, dropout=dropout, spurious=spurious)
+    return events
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +271,11 @@ class GoodnessReport:
     Aggregated over the base layout plus ``trials`` random perturbations:
     ``ghost_walls`` counts detected walls matching no true wall,
     ``missed_walls`` true walls never detected.  The margin is the smallest
-    relation residual over all *mixed* tuples (reception times drawn from
-    at least two different virtual sources); a healthy layout keeps it far
-    above the acceptance threshold, while a degenerate one lets it collapse
-    toward zero.  None when the scene has fewer than two virtual sources.
+    relation residual over the *mixed* tuples (times from at least two
+    virtual sources) that pass the time windows :func:`match_events` walks;
+    a healthy layout keeps it far above the acceptance threshold, while a
+    degenerate one lets it collapse toward zero.  None when no mixed tuple
+    passes the windows, as in every scene with fewer than two sources.
     """
 
     trials: int
@@ -304,9 +316,10 @@ def goodness_check(
         jitter = rng.uniform(-amplitude, amplitude, size=sensors.positions.shape)
         layouts.append(SensorArray(sensors.positions + jitter))
 
+    emitters = _emitters(room, 0.0, include_direct)
     ghosts = 0
     missed = 0
-    margin: float | None = None
+    margins = []
     for layout in layouts:
         table = simulate_echoes(room, layout, include_direct=include_direct)
         detection = detect_walls(layout, table, room.loudspeaker, config)
@@ -316,41 +329,28 @@ def goodness_check(
         for true in room.walls:
             if not any(same_plane(wall, true, normal_tol, offset_tol) for wall in detection.walls):
                 missed += 1
-        run_margin = _mixed_margin(room, layout, include_direct)
-        if run_margin is not None:
-            margin = run_margin if margin is None else min(margin, run_margin)
+        margins.append(_mixed_margin(layout, table, emitters))
     return GoodnessReport(
         trials=trials,
         ghost_walls=ghosts,
         missed_walls=missed,
-        mixed_residual_margin=margin,
+        mixed_residual_margin=min((m for m in margins if m is not None), default=None),
     )
 
 
-def _mixed_margin(room: Room, sensors: SensorArray, include_direct: bool) -> float | None:
-    """Smallest relation residual over tuples mixing different sources.
+def _mixed_margin(sensors: SensorArray, table: ReceptionTable, emitters: list) -> float | None:
+    """Smallest relation residual over the mixed tuples the matcher screens.
 
-    The k^m assignments of sources to sensors are enumerated in pieces of
-    ``_CHUNK_ROWS`` rows, so memory stays bounded however many walls there
-    are.
+    Walks ``table`` as :func:`match_events` does, with the same windows and
+    pieces.  A row equal to one emitter's :func:`event_arrivals` is genuine;
+    every other row is mixed.  None when no mixed row passes the windows.
     """
-    sources = room.mirror_points()
-    if include_direct:
-        sources = np.vstack([sources, room.loudspeaker])
-    k, m = sources.shape[0], sensors.count
-    if k < 2:
-        return None
-    gaps = sources[:, None, :] - sensors.positions[None, :, :]
-    arrivals = np.sqrt((gaps * gaps).sum(axis=2))  # (k, m): source x sensor
+    genuine = np.array([event_arrivals(sensors, ev) for ev in emitters])
     dist = sensors.pairwise_distances()
     dist2 = dist * dist
-    total = k**m
     lows = []
-    for start in range(0, total, _CHUNK_ROWS):
-        flat = np.arange(start, min(start + _CHUNK_ROWS, total))
-        idx = np.column_stack(np.unravel_index(flat, (k,) * m))  # assignments of sources
-        mixed = ~np.all(idx == idx[:, :1], axis=1)
+    for rows in _walk(table.times, dist, _default_slack(sensors, table)):
+        mixed = ~(rows[:, None, :] == genuine[None, :, :]).all(axis=2).any(axis=1)
         if mixed.any():
-            rows = arrivals[idx[mixed], np.arange(m)[None, :]]
-            lows.append(batched_relation_residuals(rows, dist2).min())
-    return float(np.min(lows))
+            lows.append(float(batched_relation_residuals(rows[mixed], dist2).min()))
+    return min(lows, default=None)

@@ -83,8 +83,7 @@ class SensorArray:
 
     def spans_space(self, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> bool:
         """True if the sensors affinely span R^n (numeric rank decision)."""
-        rel = self.positions[1:] - self.positions[0]
-        return linalg.numeric_rank(rel, rank_tol) == self.dim
+        return _affine_rank(self.positions, rank_tol) == self.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +304,7 @@ def check_geometry(
     """
     pos = sensors.positions
     m, n = pos.shape
-    noncoplanar = _affine_rank(pos, rank_tol) == n
+    noncoplanar = sensors.spans_space(rank_tol)
 
     degenerate: list[tuple[int, ...]] = []
     if m >= n + 1:

@@ -54,7 +54,6 @@ class Scenario:
     include_direct: bool
     spurious: tuple[tuple[int, float], ...]
     rng_seed: int
-    source: str
 
 
 def _number(value, where: str) -> float:
@@ -189,7 +188,6 @@ def parse_scenario(doc, source: str = "<memory>") -> Scenario:
         include_direct=include_direct,
         spurious=tuple(spurious),
         rng_seed=rng_seed,
-        source=source,
     )
 
 

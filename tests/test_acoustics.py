@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
-from echolat import acoustics
+from echolat import acoustics, matching
+from oracles import survivor_blocks
 
 
 def shoebox():
@@ -306,19 +307,55 @@ def test_goodness_validation():
         el.goodness_check(room, el.SensorArray([[0.0, 1.0], [1.0, 0.0]]))
 
 
-@pytest.mark.parametrize("include_direct, chunk_rows", [(False, 1), (True, 11)])
-def test_mixed_margin_in_pieces_equals_the_whole_product(monkeypatch, include_direct, chunk_rows):
+@pytest.mark.parametrize("include_direct", [False, True])
+@pytest.mark.parametrize("chunk_rows", [1, 11, None])
+def test_mixed_margin_is_the_reference_walks_mixed_minimum(monkeypatch, include_direct, chunk_rows):
     room, sensors = shoebox()
-    sources = room.mirror_points()
-    if include_direct:
-        sources = np.vstack([sources, room.loudspeaker])
-    k, m = sources.shape[0], sensors.count
-    gaps = sources[:, None, :] - sensors.positions[None, :, :]
-    arrivals = np.sqrt((gaps * gaps).sum(axis=2))
-    idx = np.indices((k,) * m).reshape(m, -1).T
-    mixed = ~np.all(idx == idx[:, :1], axis=1)
-    rows = arrivals[idx[mixed], np.arange(m)[None, :]]
+    table = el.simulate_echoes(room, sensors, include_direct=include_direct)
+    emitters = acoustics._emitters(room, 0.0, include_direct)
+    genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
     dist = sensors.pairwise_distances()
-    whole = float(el.batched_relation_residuals(rows, dist * dist).min())
-    monkeypatch.setattr(acoustics, "_CHUNK_ROWS", chunk_rows)
-    assert acoustics._mixed_margin(room, sensors, include_direct) == whole
+    slack = matching._default_slack(sensors, table)
+    rows = [
+        tuple(prefix.tolist()) + (value,)
+        for prefix, lo, hi in survivor_blocks(table.times, dist, slack, {"pruned": 0})
+        for value in table.times[-1][lo:hi].tolist()
+    ]
+    mixed = np.array([row for row in rows if row not in genuine])
+    assert len(genuine) == len(emitters) and 0 < len(mixed) < len(rows)
+    want = float(el.batched_relation_residuals(mixed, dist * dist).min())
+    if chunk_rows is not None:
+        monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
+    assert acoustics._mixed_margin(sensors, table, emitters) == want
+
+
+def test_mixed_margin_above_threshold_means_no_mixed_event():
+    room, base = shoebox()
+    emitters = acoustics._emitters(room, 0.0, True)
+    rng = np.random.default_rng(11)
+    amplitude = 0.05 * base.diameter()
+    layouts = [base] + [
+        el.SensorArray(base.positions + rng.uniform(-amplitude, amplitude, base.positions.shape))
+        for _ in range(40)
+    ]
+    threshold = el.MatchConfig().residual_threshold
+    above = 0
+    for sensors in layouts:
+        table = el.simulate_echoes(room, sensors, include_direct=True)
+        margin = acoustics._mixed_margin(sensors, table, emitters)
+        if margin is None or margin <= threshold:
+            continue
+        above += 1
+        genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
+        for event in el.match_events(sensors, table).events:
+            assert event.source_times in genuine
+    assert above >= len(layouts) // 2
+
+
+def test_goodness_inherits_the_matchers_budget():
+    room, sensors = shoebox()
+    product = el.simulate_echoes(room, sensors).product_size()
+    with pytest.raises(el.BudgetExceeded):
+        el.goodness_check(room, sensors, trials=0, config=el.MatchConfig(budget=product - 1))
+    report = el.goodness_check(room, sensors, trials=0, config=el.MatchConfig(budget=product))
+    assert report.mixed_residual_margin is not None

@@ -158,12 +158,21 @@ def test_check_geometry_not_applicable(capsys):
 
 
 def test_goodness_shoebox(capsys):
-    code, out, _ = run_cli(capsys, "goodness", scenario("shoebox_3d"), "--trials", "1")
-    assert code == 0
-    assert "trials: 1" in out
-    assert "ghost-walls: 0" in out
-    assert "missed-walls: 0" in out
-    assert "mixed-residual-margin: " in out
+    code, out, err = run_cli(capsys, "goodness", scenario("shoebox_3d"), "--trials", "3")
+    assert code == 0 and err == ""
+    assert out == (
+        f"echolat {__version__}\n"
+        "command: goodness\n"
+        "scenario: shoebox_3d\n"
+        "dimension: 3\n"
+        "sensors: 5\n"
+        "speed: 1.0\n"
+        "config: tolerance=1e-06 rank-tol=1e-08 budget=10000000 keep-ambiguous=true seed=0\n"
+        "trials: 3\n"
+        "ghost-walls: 0\n"
+        "missed-walls: 0\n"
+        "mixed-residual-margin: 1.7976866819212926e-06\n"
+    )
 
 
 def test_output_csv_files(capsys, tmp_path):
