@@ -14,6 +14,8 @@ different walls masquerades as a single consistent event — i.e. when the
 detector finds every wall and nothing else.  :func:`goodness_check` probes
 this empirically by perturbing the sensors and watching for ghost walls and
 for collapsing relation residuals on the mixed tuples the matcher screens.
+Those residuals are read from the matcher's own report, so each simulated
+table is walked and screened once.
 """
 
 from __future__ import annotations
@@ -26,16 +28,7 @@ import numpy as np
 from .errors import DegenerateMirror, DimensionMismatch, ValidationError
 from .lateration import EmissionEvent, SensorArray, event_arrivals
 from .linalg import fsum_dot
-from .matching import (
-    DetectedEvent,
-    MatchConfig,
-    MatchReport,
-    ReceptionTable,
-    _default_slack,
-    _walk,
-    match_events,
-)
-from .relations import batched_relation_residuals
+from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, match_events
 
 #: Components of a unit normal smaller than this are treated as zero when
 #: choosing the canonical orientation, so that tiny numerical noise cannot
@@ -272,10 +265,15 @@ class GoodnessReport:
     ``ghost_walls`` counts detected walls matching no true wall,
     ``missed_walls`` true walls never detected.  The margin is the smallest
     relation residual over the *mixed* tuples (times from at least two
-    virtual sources) that pass the time windows :func:`match_events` walks;
-    a healthy layout keeps it far above the acceptance threshold, while a
-    degenerate one lets it collapse toward zero.  None when no mixed tuple
-    passes the windows, as in every scene with fewer than two sources.
+    virtual sources) that :func:`match_events` screens; a healthy layout
+    keeps it far above the acceptance threshold, while a degenerate one lets
+    it collapse toward zero.  It is read from each :class:`MatchReport`: the
+    smallest rejected residual and the residuals of the accepted mixed
+    tuples.  A genuine tuple the screen rejects therefore counts too, which
+    only happens at a threshold below the genuine residuals (about 1e-15 on
+    the shoebox); the margin is above the threshold exactly when no mixed
+    tuple was accepted, either way.  None when the only tuples that pass the
+    windows are accepted genuine ones, as in a scene with one source.
     """
 
     trials: int
@@ -329,7 +327,7 @@ def goodness_check(
         for true in room.walls:
             if not any(same_plane(wall, true, normal_tol, offset_tol) for wall in detection.walls):
                 missed += 1
-        margins.append(_mixed_margin(layout, table, emitters))
+        margins.append(_mixed_margin(detection.match, layout, emitters))
     return GoodnessReport(
         trials=trials,
         ghost_walls=ghosts,
@@ -338,19 +336,16 @@ def goodness_check(
     )
 
 
-def _mixed_margin(sensors: SensorArray, table: ReceptionTable, emitters: list) -> float | None:
-    """Smallest relation residual over the mixed tuples the matcher screens.
+def _mixed_margin(report: MatchReport, sensors: SensorArray, emitters: list) -> float | None:
+    """Smallest relation residual over the mixed tuples a match screened.
 
-    Walks ``table`` as :func:`match_events` does, with the same windows and
-    pieces.  A row equal to one emitter's :func:`event_arrivals` is genuine;
-    every other row is mixed.  None when no mixed row passes the windows.
+    Read from ``report``: the smallest rejected residual and the residuals
+    of the accepted tuples that are not genuine, where a genuine tuple
+    equals one emitter's :func:`event_arrivals` exactly.  None when the
+    screen rejected nothing and accepted only genuine tuples.
     """
-    genuine = np.array([event_arrivals(sensors, ev) for ev in emitters])
-    dist = sensors.pairwise_distances()
-    dist2 = dist * dist
-    lows = []
-    for rows in _walk(table.times, dist, _default_slack(sensors, table)):
-        mixed = ~(rows[:, None, :] == genuine[None, :, :]).all(axis=2).any(axis=1)
-        if mixed.any():
-            lows.append(float(batched_relation_residuals(rows[mixed], dist2).min()))
+    genuine = {tuple(event_arrivals(sensors, ev).tolist()) for ev in emitters}
+    lows = [residual for source, residual in report.accepted if source not in genuine]
+    if report.rejected_floor is not None:
+        lows.append(report.rejected_floor)
     return min(lows, default=None)

@@ -303,7 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, scenario: Scenario, args) -> Report:
-    """Execute one subcommand against an already-loaded scenario."""
+    """Execute one subcommand against an already-loaded scenario.
+
+    The shared tuning flags are checked first, whatever the subcommand, so a
+    bad ``--tolerance``, ``--rank-tol`` or ``--budget`` is a validation error.
+    """
+    _match_config(args)
     return _COMMANDS[command](scenario, args)
 
 

@@ -129,13 +129,25 @@ class MatchConfig:
     ``keep_ambiguous`` set, tuples whose solve yields two viable candidates
     contribute both (flagged); otherwise they are dropped and counted.
     ``budget`` caps the product of the reception-list sizes, and
-    ``rank_tol`` is passed to :func:`solve`.
+    ``rank_tol`` is passed to :func:`solve`.  A threshold that is negative
+    or not finite, a ``rank_tol`` outside (0, 1) or a negative budget
+    raises :class:`ValidationError`.
     """
 
     residual_threshold: float = 1e-6
     keep_ambiguous: bool = True
     budget: int = 10_000_000
     rank_tol: float = linalg.DEFAULT_RANK_TOL
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.residual_threshold) and self.residual_threshold >= 0.0):
+            raise ValidationError(
+                f"residual_threshold must be finite and >= 0, got {self.residual_threshold}"
+            )
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ValidationError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
+        if self.budget < 0:
+            raise ValidationError(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +177,14 @@ class MatchReport:
     ``candidate_tuples - accepted_tuples``.  ``skipped`` lists accepted
     tuples whose solve failed numerically, as (tuple, reason) pairs.
     Events are sorted by (time, lexicographic position).
+
+    The screen itself is reported too.  ``accepted`` holds every tuple whose
+    relation residual was at most the threshold, as (source_times, residual)
+    pairs in walk order, including those later skipped or dropped as
+    ambiguous; ``accepted_tuples`` is its length.  ``rejected_floor`` is the
+    smallest residual of a screened tuple above the threshold, None when the
+    screen rejected nothing.  Together they give the gap between the worst
+    accepted residual and the best rejected one.
     """
 
     events: tuple[DetectedEvent, ...]
@@ -175,6 +195,8 @@ class MatchReport:
     rejected_tuples: int
     skipped: tuple[tuple[tuple[float, ...], str], ...]
     dropped_ambiguous: int
+    accepted: tuple[tuple[tuple[float, ...], float], ...]
+    rejected_floor: float | None
 
 
 def _default_slack(sensors: SensorArray, table: ReceptionTable) -> float:
@@ -285,7 +307,8 @@ def match_events(
     dist2 = dist * dist
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
-    accepted = 0
+    accepted: list[tuple[tuple[float, ...], float]] = []
+    floors: list[float] = []
     evaluated = 0
     dropped_ambiguous = 0
 
@@ -293,9 +316,11 @@ def match_events(
         evaluated += rows.shape[0]
         residuals = batched_relation_residuals(rows, dist2)
         hits = residuals <= config.residual_threshold
-        for row, residual in zip(rows[hits], residuals[hits]):
-            accepted += 1
+        if not hits.all():
+            floors.append(float(residuals[~hits].min()))
+        for row, residual in zip(rows[hits], residuals[hits].tolist()):
             source = tuple(row.tolist())
+            accepted.append((source, residual))
             try:
                 result = solve(sensors, row, rank_tol=config.rank_tol)
             except NumericError as exc:
@@ -312,7 +337,7 @@ def match_events(
                         event_time=cand.event.time,
                         position=cand.event.position,
                         source_times=source,
-                        residual=float(residual),
+                        residual=residual,
                         path=result.path,
                         ambiguous=ambiguous,
                     )
@@ -324,8 +349,10 @@ def match_events(
         candidate_tuples=product,
         pruned_tuples=product - evaluated,
         evaluated_tuples=evaluated,
-        accepted_tuples=accepted,
-        rejected_tuples=product - accepted,
+        accepted_tuples=len(accepted),
+        rejected_tuples=product - len(accepted),
         skipped=tuple(skipped),
         dropped_ambiguous=dropped_ambiguous,
+        accepted=tuple(accepted),
+        rejected_floor=min(floors, default=None),
     )

@@ -155,3 +155,12 @@ def survivor_blocks(
             yield from rec(level + 1)
 
     yield from rec(0)
+
+
+def survivor_rows(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> list[tuple]:
+    """Every tuple :func:`survivor_blocks` stands for, in walk order."""
+    return [
+        tuple(prefix.tolist()) + (value,)
+        for prefix, lo, hi in survivor_blocks(arrays, dist, slack, {"pruned": 0})
+        for value in arrays[-1][lo:hi].tolist()
+    ]

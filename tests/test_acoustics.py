@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import echolat as el
 from echolat import acoustics, matching
-from oracles import survivor_blocks
+from oracles import survivor_rows
 
 
 def shoebox():
@@ -316,17 +316,14 @@ def test_mixed_margin_is_the_reference_walks_mixed_minimum(monkeypatch, include_
     genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
     dist = sensors.pairwise_distances()
     slack = matching._default_slack(sensors, table)
-    rows = [
-        tuple(prefix.tolist()) + (value,)
-        for prefix, lo, hi in survivor_blocks(table.times, dist, slack, {"pruned": 0})
-        for value in table.times[-1][lo:hi].tolist()
-    ]
+    rows = survivor_rows(table.times, dist, slack)
     mixed = np.array([row for row in rows if row not in genuine])
     assert len(genuine) == len(emitters) and 0 < len(mixed) < len(rows)
     want = float(el.batched_relation_residuals(mixed, dist * dist).min())
     if chunk_rows is not None:
         monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
-    assert acoustics._mixed_margin(sensors, table, emitters) == want
+    report = el.match_events(sensors, table)
+    assert acoustics._mixed_margin(report, sensors, emitters) == want
 
 
 def test_mixed_margin_above_threshold_means_no_mixed_event():
@@ -342,12 +339,13 @@ def test_mixed_margin_above_threshold_means_no_mixed_event():
     above = 0
     for sensors in layouts:
         table = el.simulate_echoes(room, sensors, include_direct=True)
-        margin = acoustics._mixed_margin(sensors, table, emitters)
+        report = el.match_events(sensors, table)
+        margin = acoustics._mixed_margin(report, sensors, emitters)
         if margin is None or margin <= threshold:
             continue
         above += 1
         genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
-        for event in el.match_events(sensors, table).events:
+        for event in report.events:
             assert event.source_times in genuine
     assert above >= len(layouts) // 2
 
@@ -359,3 +357,27 @@ def test_goodness_inherits_the_matchers_budget():
         el.goodness_check(room, sensors, trials=0, config=el.MatchConfig(budget=product - 1))
     report = el.goodness_check(room, sensors, trials=0, config=el.MatchConfig(budget=product))
     assert report.mixed_residual_margin is not None
+
+
+def test_mixed_margin_at_a_zero_threshold_counts_the_rejected_genuine_tuples():
+    # below the genuine residuals the screen rejects the genuine tuples as
+    # well, and the margin is the smallest rejected residual, genuine or not
+    room, sensors = shoebox()
+    table = el.simulate_echoes(room, sensors, include_direct=True)
+    emitters = acoustics._emitters(room, 0.0, True)
+    genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
+    dist = sensors.pairwise_distances()
+    slack = matching._default_slack(sensors, table)
+    rows = survivor_rows(table.times, dist, slack)
+    residuals = dict(zip(rows, el.batched_relation_residuals(np.array(rows), dist * dist).tolist()))
+    genuine_low = min(residuals[row] for row in genuine)
+    mixed_low = min(value for row, value in residuals.items() if row not in genuine)
+    assert 0.0 < genuine_low < mixed_low
+
+    report = el.match_events(sensors, table, el.MatchConfig(residual_threshold=0.0))
+    assert report.accepted == ()  # no mixed tuple accepted, and the margin is above 0
+    assert acoustics._mixed_margin(report, sensors, emitters) == report.rejected_floor == genuine_low
+    checked = el.goodness_check(
+        room, sensors, trials=0, include_direct=True, config=el.MatchConfig(residual_threshold=0.0)
+    )
+    assert checked.mixed_residual_margin == genuine_low

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import echolat as el
+
+SRC = Path(el.__file__).resolve().parent
 
 PUBLIC_NAMES = [
     "BudgetExceeded", "Candidate", "DegenerateMirror", "DegenerateSystem", "DetectedEvent",
@@ -50,7 +54,6 @@ TRACER_SEAMS = [
     ("echolat.acoustics", "match_events"),
     ("echolat.acoustics", "simulate_echoes"),
     ("echolat.acoustics", "detect_walls"),
-    ("echolat.acoustics", "batched_relation_residuals"),
 ]
 
 
@@ -73,3 +76,21 @@ def test_benchmark_entry_points_resolve():
         for part in dotted.split("."):
             target = getattr(target, part)
         assert callable(target), f"{module}.{dotted}"
+
+
+def test_every_import_in_src_is_used():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name} imports names it never uses: {unused}"

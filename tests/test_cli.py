@@ -232,6 +232,25 @@ def test_exit_2_on_parse_and_validation_problems(capsys, tmp_path):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--rank-tol", "0"), ("--rank-tol", "1.5"), ("--rank-tol", "nan"),
+        ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "inf"),
+        ("--budget", "-1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", ["solve", "match", "simulate", "detect-walls", "check-geometry", "goodness"]
+)
+def test_exit_2_on_bad_tuning_flags(capsys, command, flags):
+    name = "ambiguous_3d" if command in ("solve", "match") else "shoebox_3d"
+    code, out, err = run_cli(capsys, command, scenario(name), *flags)
+    field = {"--tolerance": "residual_threshold", "--rank-tol": "rank_tol", "--budget": "budget"}
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field[flags[0]] in err
+
+
 def test_exit_3_on_numeric_failure(capsys, tmp_path):
     doc = {
         "dimension": 2,

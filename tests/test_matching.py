@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 import echolat as el
 from echolat import matching
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
-from oracles import survivor_blocks
+from oracles import survivor_blocks, survivor_rows
 
 
-def _scene(seed: int, n_events: int = 3):
+def _scene(seed: int, n_events: int = 3, span: float = 30.0):
     """Sensors, asynchronous events, and the unattributed reception table."""
     rng = np.random.default_rng(seed)
     sensors = random_sensors(rng, 5, 3)
     events = [
         el.EmissionEvent(float(t), rng.uniform(-1.5, 1.5, 3))
-        for t in np.sort(rng.uniform(0, 30, n_events))
+        for t in np.sort(rng.uniform(0, span, n_events))
     ]
     lists = [[] for _ in range(5)]
     for ev in events:
@@ -193,6 +193,54 @@ def _survivors(sensors, table):
     slack = matching._default_slack(sensors, table)
     blocks = matching._walk(table.times, sensors.pairwise_distances(), slack)
     return [tuple(row) for block in blocks for row in block.tolist()]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 11, None])
+def test_report_holds_the_screen_of_the_reference_walk(monkeypatch, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
+    threshold = el.MatchConfig().residual_threshold
+    mixed_accepts = 0
+    for seed in (1, 2, 3):
+        # twelve events within three time units: many mixed tuples pass the windows
+        sensors, _, table = _scene(seed, n_events=12, span=3.0)
+        dist = sensors.pairwise_distances()
+        slack = matching._default_slack(sensors, table)
+        rows = np.array(survivor_rows(table.times, dist, slack))
+        residuals = el.batched_relation_residuals(rows, dist * dist)
+        hits = residuals <= threshold
+        assert 12 <= hits.sum() < len(rows)
+        mixed_accepts += int(hits.sum()) - 12
+        want = list(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
+        report = el.match_events(sensors, table)
+        assert list(report.accepted) == want
+        assert report.accepted_tuples == len(want)
+        assert report.rejected_floor == float(residuals[~hits].min())
+    assert mixed_accepts > 0
+
+
+def test_rejected_floor_is_none_when_nothing_is_rejected():
+    sensors, events, table = _scene(211, n_events=1)
+    report = el.match_events(sensors, table)
+    assert report.rejected_floor is None
+    assert report.accepted == ((tuple(el.event_arrivals(sensors, events[0]).tolist()),
+                                report.events[0].residual),)
+
+
+def test_config_rejects_bad_values():
+    for bad in (
+        {"residual_threshold": -1.0},
+        {"residual_threshold": math.nan},
+        {"residual_threshold": math.inf},
+        {"rank_tol": 0.0},
+        {"rank_tol": 1.0},
+        {"rank_tol": 1.5},
+        {"rank_tol": math.nan},
+        {"budget": -1},
+    ):
+        with pytest.raises(el.ValidationError):
+            el.MatchConfig(**bad)
+    el.MatchConfig(residual_threshold=0.0, budget=0)
 
 
 def test_prune_tuples_never_drops_a_true_event():
