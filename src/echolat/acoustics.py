@@ -265,15 +265,17 @@ class GoodnessReport:
     ``ghost_walls`` counts detected walls matching no true wall,
     ``missed_walls`` true walls never detected.  The margin is the smallest
     relation residual over the *mixed* tuples (times from at least two
-    virtual sources) that :func:`match_events` screens; a healthy layout
-    keeps it far above the acceptance threshold, while a degenerate one lets
-    it collapse toward zero.  It is read from each :class:`MatchReport`: the
-    smallest rejected residual and the residuals of the accepted mixed
-    tuples.  A genuine tuple the screen rejects therefore counts too, which
-    only happens at a threshold below the genuine residuals (about 1e-15 on
-    the shoebox); the margin is above the threshold exactly when no mixed
-    tuple was accepted, either way.  None when the only tuples that pass the
-    windows are accepted genuine ones, as in a scene with one source.
+    virtual sources) that :func:`match_events` screens, which are the
+    held-out arrivals its predictions pick; a healthy layout keeps it far
+    above the acceptance threshold, while a degenerate one lets it collapse
+    toward zero.  It is read from each :class:`MatchReport`: the smallest
+    rejected residual and the residuals of the accepted mixed tuples.  A
+    margin above the threshold means that no mixed tuple was accepted.  The
+    converse does not hold: a mixed tuple with a small residual is rejected
+    when it is not within tau of a prediction, and a genuine tuple the
+    screen rejects (at a threshold below the genuine residuals, about 1e-15
+    on the shoebox) counts too.  None when the only screened tuples are
+    accepted genuine ones, as in a scene with one source.
     """
 
     trials: int

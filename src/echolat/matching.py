@@ -3,25 +3,23 @@
 Each sensor reports a bag of reception times with no labels saying which
 emission produced which time.  For n+2 sensors in R^n, a tuple with one
 time per sensor that comes from a single event makes the relation matrix
-singular, so the sweep walks the Cartesian product of the per-sensor time
-lists, keeps the tuples whose relation residual is below threshold,
-multilaterates each survivor, and reports the deduplicated events.
+singular.  Tuples from one event also satisfy ``|t_i - t_j| <= d_ij`` for
+every sensor pair (reverse triangle inequality), so a window walk over the
+sorted lists skips most of the Cartesian product without ever discarding a
+genuine event.  The full product size is still counted exactly and guarded
+by a budget.
 
-Tuples from one event also satisfy ``|t_i - t_j| <= d_ij`` for every sensor
-pair (reverse triangle inequality), which allows large parts of the product
-to be pruned without ever discarding a genuine event: the sweep intersects
-the admissible time windows sensor by sensor over the sorted lists, so the
-cost scales with the number of plausible tuples rather than the full
-product.  The full product size is still counted exactly and guarded by a
-budget.
-
-One breadth-first walk feeds the screen: it finds the windows of a whole
-block of prefixes with one ``searchsorted`` per side and extends the block
-in pieces of at most ``_CHUNK_ROWS`` rows, a size whose (k, m, m) screen
-temporaries fit in a per-core L2 cache.  Every piece is walked to the last
-sensor before the next one is built, so tuples come out in lexicographic
-order and memory stays bounded.  :meth:`ReceptionTable.from_events` is the
-one place where reception tables are built from emissions.
+The walk runs over n+1 of the sensors.  Each of their surviving tuples (a
+prefix) determines its event in closed form, the reduced quadratic of
+:func:`solve`, and so predicts the arrival at the held-out sensor.  Only
+the held-out arrivals near a prediction are confirmed by relation residual
+and multilaterated; the deduplicated events are reported.  The walk
+finds the windows of a whole block of prefixes with one ``searchsorted``
+per side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows,
+each walked to the last sensor before the next is built, so prefixes come
+out in lexicographic order and memory stays bounded.
+:meth:`ReceptionTable.from_events` is the one place where reception tables
+are built from emissions.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, NumericError, ValidationError
-from .lateration import SensorArray, SolvePath, event_arrivals, solve
+from .errors import BudgetExceeded, NotSpanning, NumericError, RankDeficient, ValidationError
+from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, event_arrivals, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
@@ -172,19 +170,20 @@ class MatchReport:
     """Outcome of a matching sweep.
 
     ``candidate_tuples`` is the full Cartesian-product size, of which the
-    window walk skips ``pruned_tuples`` and screens ``evaluated_tuples``;
-    ``rejected_tuples`` counts every tuple ruled out at any stage, i.e.
-    ``candidate_tuples - accepted_tuples``.  ``skipped`` lists accepted
-    tuples whose solve failed numerically, as (tuple, reason) pairs.
-    Events are sorted by (time, lexicographic position).
+    window walk skips ``pruned_tuples``; the other ``evaluated_tuples`` pass
+    every pairwise window.  ``rejected_tuples`` counts every tuple ruled out
+    at any stage, i.e. ``candidate_tuples - accepted_tuples``.  ``skipped``
+    lists accepted tuples whose solve failed numerically, as (tuple,
+    reason) pairs.  Events are sorted by (time, lexicographic position).
 
-    The screen itself is reported too.  ``accepted`` holds every tuple whose
-    relation residual was at most the threshold, as (source_times, residual)
-    pairs in walk order, including those later skipped or dropped as
-    ambiguous; ``accepted_tuples`` is its length.  ``rejected_floor`` is the
-    smallest residual of a screened tuple above the threshold, None when the
-    screen rejected nothing.  Together they give the gap between the worst
-    accepted residual and the best rejected one.
+    The screen itself is reported too.  Of the evaluated tuples only those
+    a prefix's prediction picks are screened by relation residual (see
+    :func:`match_events`).  ``accepted`` holds every screened tuple that was
+    within tau of a prediction and had a residual at most the threshold, as
+    (source_times, residual) pairs in walk order, including those later
+    skipped or dropped as ambiguous; ``accepted_tuples`` is its length.
+    ``rejected_floor`` is the smallest residual of a screened tuple that
+    was not accepted, None when every screened tuple was accepted.
     """
 
     events: tuple[DetectedEvent, ...]
@@ -271,6 +270,101 @@ def _dedup_events(
     return reps
 
 
+def _held_out(sensors: SensorArray) -> tuple[int, list[int], np.ndarray, np.ndarray]:
+    """The last sensor whose removal leaves an exactly invertible G = (2 a_i, -1).
+
+    Returns that sensor's index, the indices of the other n+1 sensors,
+    their positions relative to it and the correctly rounded inverse of
+    their G in that frame.  Raises :class:`NotSpanning` when no sensor
+    qualifies, which happens only for an exactly coplanar layout.
+    """
+    m, n = sensors.positions.shape
+    for held in reversed(range(m)):
+        keep = [i for i in range(m) if i != held]
+        local = sensors.positions[keep] - sensors.positions[held]
+        geometry = np.column_stack((2.0 * local, np.full(n + 1, -1.0)))
+        try:
+            return held, keep, local, linalg.least_squares_solve(geometry, np.eye(n + 1))
+        except RankDeficient:
+            continue
+    raise NotSpanning("no n+1 of the sensors affinely span the ambient space")
+
+
+def _predict(prefixes, inverse, local, slack, disc_tol):
+    """The held-out arrival that each root of each prefix's quadratic predicts.
+
+    The prefix is solved in a local frame: positions ``local`` relative to
+    the held-out sensor and times relative to the prefix's first one.  Row
+    j of ``inverse`` applied to 2 t and to ||a||^2 - t^2 gives (u, alpha)
+    and (v, beta) of :func:`solve`'s quadratic path, elementwise and with no
+    BLAS, and a root t predicts the arrival t + ||t u + v||.  Returns the
+    (k, 2) predictions, NaN where the quadratic has no real root or the
+    root is later than an arrival by more than ``slack``, and the (k,) mask
+    of fragile prefixes, whose roots are too ill-conditioned to predict
+    from: near-linear (|a| at most ``lateration._DEGENERACY_TOL``), nearly
+    flat (|a| > 1e6) or near-double (|disc| <= ``disc_tol``).
+    """
+    origin = prefixes[:, 0]
+    cols = (prefixes - origin[:, None]).T
+    lifted = (local * local).sum(axis=1)[:, None] - cols * cols
+    rows = range(len(cols))
+    t_part = [2.0 * sum(inverse[j, i] * cols[i] for i in rows) for j in rows]
+    c_part = [sum(inverse[j, i] * lifted[i] for i in rows) for j in rows]
+    u, v = t_part[:-1], c_part[:-1]
+    a = sum(e * e for e in u) - 1.0
+    b = 2.0 * sum(e * f for e, f in zip(u, v)) - t_part[-1]
+    c = sum(f * f for f in v) - c_part[-1]
+    disc = b * b - 4.0 * a * c
+    # A root is off by about |a| eps (diameter + span), so above 1e6 (a
+    # nearly flat prefix) it nears tau.
+    lead = np.abs(a)
+    fragile = (lead <= _DEGENERACY_TOL) | (lead > 1e6) | (np.abs(disc) <= disc_tol)
+    out = np.full((len(a), 2), np.nan)
+    ok = np.flatnonzero(~fragile & (disc > 0.0))
+    q = -0.5 * (b[ok] + np.copysign(np.sqrt(disc[ok]), b[ok]))
+    latest = cols[:, ok].min(axis=0) + slack
+    for col, root in enumerate((q / a[ok], c[ok] / q)):
+        reach = np.sqrt(sum((root * e[ok] + f[ok]) ** 2 for e, f in zip(u, v)))
+        out[ok, col] = np.where(root <= latest, origin[ok] + root + reach, np.nan)
+    return out, fragile
+
+
+def _screen_rows(arrivals, wlo, whi, predicted, fragile, tau):
+    """The (prefix, arrival) pairs to confirm, in walk order, and which are near.
+
+    Prefix i's window is ``arrivals[wlo[i]:whi[i]]``.  Each root screens the
+    window's arrivals within ``tau`` of its prediction (near), or failing
+    those the one arrival of the window nearest the prediction.  A fragile
+    prefix screens its whole window, all near.  Returns the prefix and
+    arrival indices of the distinct pairs, sorted, and whether each is near.
+    """
+    k = len(wlo)
+    ok = ~np.isnan(predicted)
+    guess = np.where(ok, predicted, 0.0)
+    starts = np.maximum(np.searchsorted(arrivals, guess - tau, side="left"), wlo[:, None])
+    stops = np.minimum(np.searchsorted(arrivals, guess + tau, side="right"), whi[:, None])
+    counts = np.where(ok, np.maximum(stops - starts, 0), 0)
+    starts = np.column_stack((starts, wlo)).ravel()
+    counts = np.column_stack((counts, np.where(fragile, whi - wlo, 0))).ravel()
+    total = int(counts.sum())
+    near_p = np.repeat(np.repeat(np.arange(k), 3), counts)
+    near_a = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+
+    lone = ok & (counts.reshape(k, 3)[:, :2] == 0) & (whi > wlo)[:, None]
+    lone_p = np.nonzero(lone)[0]
+    value = predicted[lone]
+    at = np.searchsorted(arrivals, value)
+    left = np.clip(at - 1, wlo[lone_p], whi[lone_p] - 1)
+    right = np.clip(at, wlo[lone_p], whi[lone_p] - 1)
+    nearer = np.abs(arrivals[right] - value) < np.abs(arrivals[left] - value)
+    lone_a = np.where(nearer, right, left)
+
+    size = arrivals.size
+    keys, first = np.unique(np.concatenate((near_p * size + near_a, lone_p * size + lone_a)),
+                            return_index=True)
+    return keys // size, keys % size, first < total
+
+
 def match_events(
     sensors: SensorArray,
     table: ReceptionTable,
@@ -279,16 +373,28 @@ def match_events(
     """Sweep a reception table and recover the emission events behind it.
 
     Requires one time list per sensor and m = n+2 sensors, so that accepted
-    tuples determine events.  Tuples are screened by relation residual in
-    vectorised chunks; each accepted tuple is multilaterated and its
-    non-spurious candidates become detected events.  Ambiguous tuples (two
-    viable candidates) contribute both events flagged ``ambiguous`` when
+    tuples determine events.  One sensor is held out (:func:`_held_out`)
+    and the window walk runs over the other n+1, whose tuples are the
+    prefixes.  Each prefix's reduced quadratic, the n+1-sensor closed form
+    of :func:`solve`, predicts the held-out arrival of every non-spurious
+    root; the held-out arrivals within tau = 1e-8 (diameter + span) of a
+    prediction are screened, or, if there are none, the one arrival nearest
+    it in the prefix's window.  A prefix whose root is too ill-conditioned
+    to predict from (a near-linear, nearly flat or near-double quadratic,
+    see :func:`_predict`) screens its whole window.  A screened tuple is
+    accepted when it is within tau (or its prefix is fragile) and its
+    relation residual is at most ``config.residual_threshold``.
+
+    Each accepted tuple is multilaterated and its non-spurious candidates
+    become detected events.  Ambiguous tuples (two viable candidates)
+    contribute both events flagged ``ambiguous`` when
     ``config.keep_ambiguous`` is set, and are dropped otherwise.  Numeric
     failures on individual tuples are reported in ``skipped`` rather than
     aborting the sweep.
 
     Raises :class:`BudgetExceeded` if the full product size exceeds
-    ``config.budget`` (checked before any work).
+    ``config.budget`` (checked before any work), and :class:`NotSpanning`
+    when the sensors are exactly coplanar, so no sensor can be held out.
     """
     m, n = sensors.count, sensors.dim
     if table.count != m:
@@ -302,9 +408,15 @@ def match_events(
         raise BudgetExceeded(
             f"product of reception-list sizes is {product}, budget is {config.budget}"
         )
+    held, keep, local, inverse = _held_out(sensors)
 
     dist = sensors.pairwise_distances()
     dist2 = dist * dist
+    slack = _default_slack(sensors, table)
+    scale = sensors.diameter() + table.span()
+    tau, disc_tol = 1e-8 * scale, 1e-12 * scale * scale
+    arrivals = table.times[held]
+    to_held = dist[keep, held]
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted: list[tuple[tuple[float, ...], float]] = []
@@ -312,10 +424,21 @@ def match_events(
     evaluated = 0
     dropped_ambiguous = 0
 
-    for rows in _walk(table.times, dist, _default_slack(sensors, table)):
-        evaluated += rows.shape[0]
+    prefix_lists = tuple(table.times[i] for i in keep)
+    for prefixes in _walk(prefix_lists, dist[np.ix_(keep, keep)], slack):
+        wlo = np.searchsorted(arrivals, (prefixes - to_held).max(axis=1) - slack, side="left")
+        whi = np.searchsorted(arrivals, (prefixes + to_held).min(axis=1) + slack, side="right")
+        whi = np.maximum(whi, wlo)
+        evaluated += int((whi - wlo).sum())
+        predicted, fragile = _predict(prefixes, inverse, local, slack, disc_tol)
+        which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau)
+        if not which.size:
+            continue
+        rows = np.empty((which.size, m))
+        rows[:, keep] = prefixes[which]
+        rows[:, held] = arrivals[index]
         residuals = batched_relation_residuals(rows, dist2)
-        hits = residuals <= config.residual_threshold
+        hits = near & (residuals <= config.residual_threshold)
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
         for row, residual in zip(rows[hits], residuals[hits].tolist()):

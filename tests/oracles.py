@@ -6,7 +6,9 @@ Gaussian elimination and determinants over ``fractions.Fraction``, plus the
 exact form of the reduced time-line solution (u, alpha, v, beta) for a
 sensor/time dataset.  :func:`survivor_blocks` is the matcher's original
 element-by-element window walk, kept as the reference for the vectorised
-walk in :mod:`echolat.matching`.
+walk in :mod:`echolat.matching`, and :func:`prediction_screen` is the
+reference for its prediction screen, one prefix and one :func:`echolat.solve`
+at a time.
 """
 
 from __future__ import annotations
@@ -164,3 +166,58 @@ def survivor_rows(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float
         for prefix, lo, hi in survivor_blocks(arrays, dist, slack, {"pruned": 0})
         for value in arrays[-1][lo:hi].tolist()
     ]
+
+
+def prediction_screen(sensors, arrays, held: int, slack: float, tau: float, disc_tol: float):
+    """The matcher's prediction screen, one prefix at a time.
+
+    The prefixes are the window survivors over the sensors other than
+    ``held``; :func:`survivor_blocks` walks them with the held-out list
+    last, so each block's (lo, hi) is that prefix's window in it.  Each
+    prefix is solved on its own n+1 sensors with :func:`echolat.solve`.  A
+    prefix whose quadratic has |a| <= 1e-9 or |disc| <= ``disc_tol``
+    screens its whole window, all near; otherwise each root no later than
+    the prefix's first time plus ``slack`` predicts ``t + ||a_held - x||``
+    and screens the window's arrivals within ``tau`` of it (near), or else
+    the window's arrival nearest to it.  A prefix whose solve raises
+    (no real root) screens nothing.  Returns (row, near) pairs in walk
+    order, each row in the original sensor order.
+    """
+    import echolat as el
+
+    m = sensors.count
+    keep = [i for i in range(m) if i != held]
+    order = keep + [held]
+    dist = sensors.pairwise_distances()[np.ix_(order, order)]
+    sub = el.SensorArray(sensors.positions[keep])
+    target = sensors.positions[held]
+    last = arrays[held]
+    out = []
+    walk = survivor_blocks(tuple(arrays[i] for i in order), dist, slack, {"pruned": 0})
+    for prefix, lo, hi in walk:
+        window = range(lo, hi)
+        near, lone = set(), set()
+        try:
+            result = el.solve(sub, prefix)
+        except el.NumericError:
+            result = None
+        if result is not None:
+            a, b, c = result.quadratic
+            if abs(a) <= 1e-9 or abs(b * b - 4.0 * a * c) <= disc_tol:
+                near.update(window)
+            else:
+                for cand in result.candidates:
+                    if cand.event.time > prefix.min() + slack:
+                        continue
+                    gap = target - cand.event.position
+                    pred = cand.event.time + float(np.sqrt((gap * gap).sum()))
+                    hits = {j for j in window if abs(last[j] - pred) <= tau}
+                    near |= hits
+                    if not hits:
+                        lone.add(min(window, key=lambda j: (abs(last[j] - pred), j)))
+        for j in sorted(near | lone):
+            row = np.empty(m)
+            row[keep] = prefix
+            row[held] = last[j]
+            out.append((tuple(row.tolist()), j in near))
+    return out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import echolat as el
 from echolat import acoustics, matching
-from oracles import survivor_rows
+from oracles import prediction_screen, survivor_rows
 
 
 def shoebox():
@@ -289,6 +289,28 @@ def test_goodness_flags_flat_layout():
     assert report.mixed_residual_margin < 1e-6
 
 
+def test_goodness_finds_every_wall_on_a_nearly_flat_layout():
+    # Sensors within 1e-5 or 1e-6 of a plane still resolve the room.  The
+    # prefixes' roots are off by more than tau there, so the matcher falls
+    # back to their whole windows instead of losing the walls.
+    room = el.Room(
+        (
+            el.Wall([1, 0, 0], 0.0),
+            el.Wall([0, 1, 0], 0.0),
+            el.Wall([0, 0, 1], 0.0),
+            el.Wall([0, 0, 1], 2.5),
+        ),
+        [1.2, 0.8, 1.1],
+    )
+    for thickness in (1e-5, 1e-6):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            base = rng.uniform(0.3, 2.2, (5, 2))
+            flat = np.column_stack([base, 1.0 + thickness * rng.standard_normal(5)])
+            report = el.goodness_check(room, el.SensorArray(flat), trials=2)
+            assert report.missed_walls == 0
+
+
 def test_goodness_margin_undefined_for_single_source():
     room = el.Room((el.Wall([0, 0, 1], 0.0),), [0.4, 0.3, 1.0])
     sensors = el.SensorArray(
@@ -315,11 +337,18 @@ def test_mixed_margin_is_the_reference_walks_mixed_minimum(monkeypatch, include_
     emitters = acoustics._emitters(room, 0.0, include_direct)
     genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
     dist = sensors.pairwise_distances()
-    slack = matching._default_slack(sensors, table)
-    rows = survivor_rows(table.times, dist, slack)
-    mixed = np.array([row for row in rows if row not in genuine])
-    assert len(genuine) == len(emitters) and 0 < len(mixed) < len(rows)
-    want = float(el.batched_relation_residuals(mixed, dist * dist).min())
+    scale = sensors.diameter() + table.span()
+    screen = prediction_screen(sensors, table.times, sensors.count - 1,
+                               matching._default_slack(sensors, table), 1e-8 * scale,
+                               1e-12 * scale * scale)
+    rows = [row for row, _ in screen]
+    residuals = el.batched_relation_residuals(np.array(rows), dist * dist)
+    threshold = el.MatchConfig().residual_threshold
+    # every genuine tuple is screened near its prediction and accepted; the
+    # margin is the smallest residual over the other screened rows
+    accepted = {row for (row, near), res in zip(screen, residuals) if near and res <= threshold}
+    assert accepted == genuine and len(genuine) == len(emitters) < len(rows)
+    want = float(min(res for row, res in zip(rows, residuals) if row not in genuine))
     if chunk_rows is not None:
         monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
     report = el.match_events(sensors, table)

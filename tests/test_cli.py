@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -173,6 +174,19 @@ def test_goodness_shoebox(capsys):
         "missed-walls: 0\n"
         "mixed-residual-margin: 1.7976866819212926e-06\n"
     )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_goodness_prints_no_ghost_wall_and_a_numeric_margin(capsys, seed):
+    # The benchmark's room_goodness check parses these two lines; a margin
+    # printed as n/a would count as a failed operation.
+    code, out, err = run_cli(
+        capsys, "goodness", scenario("shoebox_3d"), "--trials", "2", "--seed", str(seed)
+    )
+    assert code == 0 and err == ""
+    fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert fields["ghost-walls"] == "0"
+    assert math.isfinite(float(fields["mixed-residual-margin"]))
 
 
 def test_output_csv_files(capsys, tmp_path):

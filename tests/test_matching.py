@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import echolat as el
 from echolat import matching
+from echolat.cli import main
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
-from oracles import survivor_blocks, survivor_rows
+from oracles import prediction_screen, survivor_blocks
 
 
 def _scene(seed: int, n_events: int = 3, span: float = 30.0):
@@ -155,18 +157,91 @@ def test_near_duplicate_events_are_merged():
     assert report.events[0].event_time == pytest.approx(1.0, abs=1e-6)
 
 
-def test_numeric_failures_are_skipped_not_fatal():
+def test_numeric_failures_are_skipped_not_fatal(tmp_path, capsys):
+    # An exactly coplanar layout leaves no n+1 sensors to predict from, so
+    # the match raises NotSpanning before the walk, as solve does, and the
+    # CLI exits 3.
     flat = el.SensorArray(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.5, -0.7, 0.0]]
     )
     event = el.EmissionEvent(2.0, [0.3, 0.4, 0.0])
-    table = el.ReceptionTable.from_lists([[t] for t in el.event_arrivals(flat, event)])
-    report = el.match_events(flat, table)
-    assert report.events == ()
-    assert len(report.skipped) == 1
-    tuple_times, reason = report.skipped[0]
-    assert reason.startswith("NotSpanning")
-    assert tuple_times == tuple(float(t) for t in el.event_arrivals(flat, event))
+    times = el.event_arrivals(flat, event).tolist()
+    table = el.ReceptionTable.from_lists([[t] for t in times])
+    with pytest.raises(el.NotSpanning):
+        el.match_events(flat, table)
+    path = tmp_path / "flat.json"
+    table_doc = [[t] for t in times]
+    path.write_text(json.dumps(
+        {"dimension": 3, "sensors": flat.positions.tolist(), "reception_table": table_doc}
+    ))
+    assert main(["match", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NotSpanning" in captured.err
+
+
+def _recovery_error(detected, event) -> float:
+    return max(abs(detected.event_time - event.time),
+               float(np.abs(detected.position - event.position).max()))
+
+
+def test_near_double_and_linear_prefixes_are_screened_by_their_whole_window():
+    # The first three sensors and an event at the origin give the prefix
+    # quadratic a double root (scenario double_root_2d).  Near it the root
+    # is off by about sqrt(eps) times the scale, more than tau, so such a
+    # prefix screens its whole window and is accepted on its residual alone.
+    sensors = el.SensorArray([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, -1.7]])
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        r = 10.0 ** rng.uniform(-9.0, -2.0)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        event = el.EmissionEvent(rng.uniform(-r, r), [r * np.cos(angle), r * np.sin(angle)])
+        report = el.match_events(sensors, el.ReceptionTable.from_events(sensors, [event]))
+        assert len(report.events) == 1
+        assert _recovery_error(report.events[0], event) <= 1e-9
+    # the same for a prefix whose quadratic has no t^2 term (degenerate_linear_2d)
+    sensors = el.SensorArray([[1.0, 0.0], [-1.0, 0.0], [3.0, 4.0], [0.3, -1.7]])
+    event = el.EmissionEvent(0.0, [0.0, 0.0])
+    report = el.match_events(sensors, el.ReceptionTable.from_events(sensors, [event]))
+    assert len(report.events) == 1
+    assert _recovery_error(report.events[0], event) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_every_true_tuple_is_accepted_and_no_ghost_is_reported(n, count, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        sensors = random_sensors(rng, n + 2, n)
+        geometry = el.check_geometry(sensors)
+        if geometry.noncoplanar and geometry.condition_ok:
+            break
+    events = [
+        el.EmissionEvent(float(t), rng.uniform(-1.5, 1.5, n)) for t in rng.uniform(0.0, 6.0, count)
+    ]
+    report = el.match_events(sensors, el.ReceptionTable.from_events(sensors, events))
+    accepted = {source for source, _ in report.accepted}
+    for event in events:
+        assert tuple(el.event_arrivals(sensors, event).tolist()) in accepted
+    for detected in report.events:
+        assert min(_recovery_error(detected, event) for event in events) <= 1e-9
+
+
+@pytest.mark.parametrize("offset", [(0.0, 1e5), (1e4, 0.0), (1e5, 1e5)])
+def test_true_tuples_are_accepted_far_from_the_origin(offset):
+    # each prefix is solved relative to the held-out sensor and to its own
+    # first time, so the prediction keeps its accuracy far out
+    space, time = offset
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        sensors = el.SensorArray(random_sensors(rng, 5, 3).positions + space)
+        events = [
+            el.EmissionEvent(time + float(t), rng.uniform(-1.5, 1.5, 3) + space)
+            for t in rng.uniform(0.0, 6.0, 8)
+        ]
+        report = el.match_events(sensors, el.ReceptionTable.from_events(sensors, events))
+        accepted = {source for source, _ in report.accepted}
+        for event in events:
+            assert tuple(el.event_arrivals(sensors, event).tolist()) in accepted
 
 
 def test_budget_guard():
@@ -195,28 +270,48 @@ def _survivors(sensors, table):
     return [tuple(row) for block in blocks for row in block.tolist()]
 
 
+def _reference_screen(sensors, table):
+    """The rows the reference screen confirms, and whether each is near."""
+    scale = sensors.diameter() + table.span()
+    slack = matching._default_slack(sensors, table)
+    return prediction_screen(sensors, table.times, sensors.count - 1, slack, 1e-8 * scale,
+                             1e-12 * scale * scale)
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 11, None])
 def test_report_holds_the_screen_of_the_reference_walk(monkeypatch, chunk_rows):
     if chunk_rows is not None:
         monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
     threshold = el.MatchConfig().residual_threshold
-    mixed_accepts = 0
+    lone_rows = 0
     for seed in (1, 2, 3):
-        # twelve events within three time units: many mixed tuples pass the windows
-        sensors, _, table = _scene(seed, n_events=12, span=3.0)
+        # twelve events within three time units: many prefixes pass the windows
+        sensors, events, table = _scene(seed, n_events=12, span=3.0)
+        assert matching._held_out(sensors)[0] == sensors.count - 1
+        screen = _reference_screen(sensors, table)
+        rows = np.array([row for row, _ in screen])
+        near = np.array([flag for _, flag in screen])
         dist = sensors.pairwise_distances()
-        slack = matching._default_slack(sensors, table)
-        rows = np.array(survivor_rows(table.times, dist, slack))
         residuals = el.batched_relation_residuals(rows, dist * dist)
-        hits = residuals <= threshold
-        assert 12 <= hits.sum() < len(rows)
-        mixed_accepts += int(hits.sum()) - 12
+        hits = near & (residuals <= threshold)
+        assert hits.sum() == 12 and not near.all()
+        lone_rows += int((~near).sum())
+
+        seen = []
+        screen_fn = matching.batched_relation_residuals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "batched_relation_residuals",
+                       lambda tuples, dist2: seen.append(tuples.copy()) or screen_fn(tuples, dist2))
+            report = el.match_events(sensors, table)
+        assert np.concatenate(seen).tolist() == rows.tolist()
         want = list(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
-        report = el.match_events(sensors, table)
         assert list(report.accepted) == want
         assert report.accepted_tuples == len(want)
         assert report.rejected_floor == float(residuals[~hits].min())
-    assert mixed_accepts > 0
+        assert {ev.source_times for ev in report.events} == {
+            tuple(el.event_arrivals(sensors, ev).tolist()) for ev in events
+        }
+    assert lone_rows > 0
 
 
 def test_rejected_floor_is_none_when_nothing_is_rejected():
