@@ -191,8 +191,11 @@ def _rhs(sensors: SensorArray, t: np.ndarray) -> np.ndarray:
     return (sensors.positions * sensors.positions).sum(axis=1) - t * t
 
 
-def _spurious(t_emit: float, t: np.ndarray, time_tol: float) -> bool:
-    return bool(t.min() < t_emit - time_tol)
+def _spurious(t_emit, t: np.ndarray, diameter: float):
+    # Later than an arrival by more than 1e-9 (time span + diameter); the
+    # columns of a 2-d ``t`` are separate tuples.
+    low = t.min(axis=0)
+    return low < t_emit - 1e-9 * (t.max(axis=0) - low + diameter)
 
 
 def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SolveResult:
@@ -237,11 +240,11 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
         raise ValidationError(f"need at least {n + 1} sensors in dimension {n}, got {m}")
     amat = _linearise(sensors, t)
     rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
-    time_tol = 1e-9 * (float(t.max() - t.min()) + sensors.diameter())
+    diameter = sensors.diameter()
     if rank == n + 2:
         solution = linalg.least_squares_solve(amat, _rhs(sensors, t))
         event = EmissionEvent(solution[0], solution[1 : n + 1])
-        cand = Candidate(event, _spurious(event.time, t, time_tol))
+        cand = Candidate(event, bool(_spurious(event.time, t, diameter)))
         return SolveResult(path=SolvePath.FULL_RANK, candidates=(cand,), rank=rank)
 
     if not sensors.spans_space(rank_tol):
@@ -263,7 +266,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     candidates = tuple(
         Candidate(
             EmissionEvent(root, [root * ue + ve for ue, ve in zip(u, v)]),
-            _spurious(root, t, time_tol),
+            bool(_spurious(root, t, diameter)),
         )
         for root in roots.roots
     )

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotSpanning, NumericError, RankDeficient, ValidationError
-from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, event_arrivals, solve
+from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _spurious, event_arrivals, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
@@ -123,7 +123,9 @@ def _index(value, size: int, what: str) -> int:
 class MatchConfig:
     """Knobs for :func:`match_events`.
 
-    ``residual_threshold`` is the relation-residual acceptance cutoff.  With
+    ``residual_threshold`` is the relation-residual acceptance cutoff;
+    above its default of 1e-6 it also widens tau, how far an arrival may
+    miss its prediction, in proportion (see :func:`match_events`).  With
     ``keep_ambiguous`` set, tuples whose solve yields two viable candidates
     contribute both (flagged); otherwise they are dropped and counted.
     ``budget`` caps the product of the reception-list sizes, and
@@ -290,7 +292,7 @@ def _held_out(sensors: SensorArray) -> tuple[int, list[int], np.ndarray, np.ndar
     raise NotSpanning("no n+1 of the sensors affinely span the ambient space")
 
 
-def _predict(prefixes, inverse, local, slack, disc_tol):
+def _predict(prefixes, inverse, local, diameter, disc_tol):
     """The held-out arrival that each root of each prefix's quadratic predicts.
 
     The prefix is solved in a local frame: positions ``local`` relative to
@@ -299,10 +301,11 @@ def _predict(prefixes, inverse, local, slack, disc_tol):
     and (v, beta) of :func:`solve`'s quadratic path, elementwise and with no
     BLAS, and a root t predicts the arrival t + ||t u + v||.  Returns the
     (k, 2) predictions, NaN where the quadratic has no real root or the
-    root is later than an arrival by more than ``slack``, and the (k,) mask
-    of fragile prefixes, whose roots are too ill-conditioned to predict
-    from: near-linear (|a| at most ``lateration._DEGENERACY_TOL``), nearly
-    flat (|a| > 1e6) or near-double (|disc| <= ``disc_tol``).
+    root is spurious by :func:`solve`'s rule for the prefix's sensors (of
+    the given ``diameter``), and the (k,) mask of fragile prefixes, whose
+    roots are too ill-conditioned to predict from: near-linear (|a| at most
+    ``lateration._DEGENERACY_TOL``), nearly flat (|a| > 1e6) or near-double
+    (|disc| <= ``disc_tol``).
     """
     origin = prefixes[:, 0]
     cols = (prefixes - origin[:, None]).T
@@ -316,16 +319,17 @@ def _predict(prefixes, inverse, local, slack, disc_tol):
     c = sum(f * f for f in v) - c_part[-1]
     disc = b * b - 4.0 * a * c
     # A root is off by about |a| eps (diameter + span), so above 1e6 (a
-    # nearly flat prefix) it nears tau.
+    # nearly flat prefix) it nears the smallest tau.
     lead = np.abs(a)
     fragile = (lead <= _DEGENERACY_TOL) | (lead > 1e6) | (np.abs(disc) <= disc_tol)
     out = np.full((len(a), 2), np.nan)
     ok = np.flatnonzero(~fragile & (disc > 0.0))
     q = -0.5 * (b[ok] + np.copysign(np.sqrt(disc[ok]), b[ok]))
-    latest = cols[:, ok].min(axis=0) + slack
-    for col, root in enumerate((q / a[ok], c[ok] / q)):
+    roots = np.stack((q / a[ok], c[ok] / q))
+    late = _spurious(roots, cols[:, ok], diameter)
+    for col, root in enumerate(roots):
         reach = np.sqrt(sum((root * e[ok] + f[ok]) ** 2 for e, f in zip(u, v)))
-        out[ok, col] = np.where(root <= latest, origin[ok] + root + reach, np.nan)
+        out[ok, col] = np.where(late[col], np.nan, origin[ok] + root + reach)
     return out, fragile
 
 
@@ -377,11 +381,14 @@ def match_events(
     and the window walk runs over the other n+1, whose tuples are the
     prefixes.  Each prefix's reduced quadratic, the n+1-sensor closed form
     of :func:`solve`, predicts the held-out arrival of every non-spurious
-    root; the held-out arrivals within tau = 1e-8 (diameter + span) of a
-    prediction are screened, or, if there are none, the one arrival nearest
-    it in the prefix's window.  A prefix whose root is too ill-conditioned
-    to predict from (a near-linear, nearly flat or near-double quadratic,
-    see :func:`_predict`) screens its whole window.  A screened tuple is
+    root; the held-out arrivals within tau of a prediction are screened,
+    or, if there are none, the one arrival nearest it in the prefix's
+    window.  tau is 1e-2 max(``config.residual_threshold``, 1e-6)
+    (diameter + span), 1e-8 (diameter + span) at the default threshold, so
+    timing noise of more than about 1e-9 of that scale needs a higher
+    threshold.  A prefix whose root is too ill-conditioned to predict from
+    (a near-linear, nearly flat or near-double quadratic, see
+    :func:`_predict`) screens its whole window.  A screened tuple is
     accepted when it is within tau (or its prefix is fragile) and its
     relation residual is at most ``config.residual_threshold``.
 
@@ -414,9 +421,11 @@ def match_events(
     dist2 = dist * dist
     slack = _default_slack(sensors, table)
     scale = sensors.diameter() + table.span()
-    tau, disc_tol = 1e-8 * scale, 1e-12 * scale * scale
+    tau = 1e-2 * max(config.residual_threshold, 1e-6) * scale
+    disc_tol = 1e-12 * scale * scale
     arrivals = table.times[held]
     to_held = dist[keep, held]
+    prefix_dist = dist[np.ix_(keep, keep)]
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted: list[tuple[tuple[float, ...], float]] = []
@@ -425,12 +434,12 @@ def match_events(
     dropped_ambiguous = 0
 
     prefix_lists = tuple(table.times[i] for i in keep)
-    for prefixes in _walk(prefix_lists, dist[np.ix_(keep, keep)], slack):
+    for prefixes in _walk(prefix_lists, prefix_dist, slack):
         wlo = np.searchsorted(arrivals, (prefixes - to_held).max(axis=1) - slack, side="left")
         whi = np.searchsorted(arrivals, (prefixes + to_held).min(axis=1) + slack, side="right")
         whi = np.maximum(whi, wlo)
         evaluated += int((whi - wlo).sum())
-        predicted, fragile = _predict(prefixes, inverse, local, slack, disc_tol)
+        predicted, fragile = _predict(prefixes, inverse, local, prefix_dist.max(), disc_tol)
         which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau)
         if not which.size:
             continue

@@ -96,13 +96,13 @@ def reduced_time_line(sensors, times):
     t = [frac(x) for x in times]
     n = len(pos[0])
     g = [[2 * x for x in row] + [Fraction(-1)] for row in pos]
-    gt = _transpose(g)
-    gram = _matmul(gt, g)
-    lhs_t = _matvec(gt, [2 * x for x in t])
-    rhs = [sum(x * x for x in row) - ti * ti for row, ti in zip(pos, t)]
-    lhs_c = _matvec(gt, rhs)
-    yt = frac_solve(gram, lhs_t)
-    yc = frac_solve(gram, lhs_c)
+    rhs_t = [2 * x for x in t]
+    rhs_c = [sum(x * x for x in row) - ti * ti for row, ti in zip(pos, t)]
+    if len(g) > n + 1:  # normal equations; a square system is solved as it is
+        gt = _transpose(g)
+        g, rhs_t, rhs_c = _matmul(gt, g), _matvec(gt, rhs_t), _matvec(gt, rhs_c)
+    yt = frac_solve(g, rhs_t)
+    yc = frac_solve(g, rhs_c)
     return yt[:n], yt[n], yc[:n], yc[n]
 
 
@@ -168,56 +168,64 @@ def survivor_rows(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float
     ]
 
 
-def prediction_screen(sensors, arrays, held: int, slack: float, tau: float, disc_tol: float):
+def prediction_screen(sensors, table, threshold: float = 1e-6):
     """The matcher's prediction screen, one prefix at a time.
 
-    The prefixes are the window survivors over the sensors other than
-    ``held``; :func:`survivor_blocks` walks them with the held-out list
-    last, so each block's (lo, hi) is that prefix's window in it.  Each
-    prefix is solved on its own n+1 sensors with :func:`echolat.solve`.  A
-    prefix whose quadratic has |a| <= 1e-9 or |disc| <= ``disc_tol``
-    screens its whole window, all near; otherwise each root no later than
-    the prefix's first time plus ``slack`` predicts ``t + ||a_held - x||``
-    and screens the window's arrivals within ``tau`` of it (near), or else
-    the window's arrival nearest to it.  A prefix whose solve raises
-    (no real root) screens nothing.  Returns (row, near) pairs in walk
-    order, each row in the original sensor order.
+    The held-out sensor is the last one whose removal leaves the others'
+    G = (2 a_i, -1) with a nonzero exact determinant.  With scale =
+    diameter + span, the prefixes are the window survivors over the other
+    sensors at slack 1e-9 scale + 1e-12; :func:`survivor_blocks` walks them
+    with the held-out list last, so each block's (lo, hi) is that prefix's
+    window in it.  Each prefix is solved on its own n+1 sensors with
+    :func:`echolat.solve`.  A prefix whose quadratic has |a| <= 1e-9,
+    |a| > 1e6 or |disc| <= 1e-12 scale^2 screens its whole window, all
+    near; otherwise each candidate that solve does not flag as spurious
+    predicts ``t + ||a_held - x||`` and screens the window's arrivals within
+    tau = 1e-2 max(threshold, 1e-6) scale of it (near), or else the
+    window's arrival nearest to it.  Where solve raises (no real root),
+    the fragile rules read :func:`reduced_quadratic`, and a prefix that
+    none of them marks screens nothing.  Returns the held-out index and the (row, near)
+    pairs in walk order, each row in the original sensor order.
     """
     import echolat as el
 
-    m = sensors.count
+    m, n = sensors.positions.shape
+    geometry = [[2 * frac(x) for x in row] + [Fraction(-1)] for row in sensors.positions.tolist()]
+    held = next(h for h in reversed(range(m)) if frac_det(geometry[:h] + geometry[h + 1:]) != 0)
+    scale = sensors.diameter() + table.span()
+    slack = 1e-9 * scale + 1e-12
+    tau = 1e-2 * max(threshold, 1e-6) * scale
     keep = [i for i in range(m) if i != held]
     order = keep + [held]
     dist = sensors.pairwise_distances()[np.ix_(order, order)]
     sub = el.SensorArray(sensors.positions[keep])
     target = sensors.positions[held]
-    last = arrays[held]
+    last = table.times[held]
     out = []
-    walk = survivor_blocks(tuple(arrays[i] for i in order), dist, slack, {"pruned": 0})
+    walk = survivor_blocks(tuple(table.times[i] for i in order), dist, slack, {"pruned": 0})
     for prefix, lo, hi in walk:
         window = range(lo, hi)
         near, lone = set(), set()
         try:
             result = el.solve(sub, prefix)
+            (a, b, c), candidates = result.quadratic, result.candidates
         except el.NumericError:
-            result = None
-        if result is not None:
-            a, b, c = result.quadratic
-            if abs(a) <= 1e-9 or abs(b * b - 4.0 * a * c) <= disc_tol:
-                near.update(window)
-            else:
-                for cand in result.candidates:
-                    if cand.event.time > prefix.min() + slack:
-                        continue
-                    gap = target - cand.event.position
-                    pred = cand.event.time + float(np.sqrt((gap * gap).sum()))
-                    hits = {j for j in window if abs(last[j] - pred) <= tau}
-                    near |= hits
-                    if not hits:
-                        lone.add(min(window, key=lambda j: (abs(last[j] - pred), j)))
+            a, b, c = map(float, reduced_quadratic(sub.positions.tolist(), prefix.tolist()))
+            candidates = ()
+        if not 1e-9 < abs(a) <= 1e6 or abs(b * b - 4.0 * a * c) <= 1e-12 * scale * scale:
+            near.update(window)
+        for cand in candidates if not near else ():
+            if cand.spurious:
+                continue
+            gap = target - cand.event.position
+            pred = cand.event.time + float(np.sqrt((gap * gap).sum()))
+            hits = {j for j in window if abs(last[j] - pred) <= tau}
+            near |= hits
+            if not hits:
+                lone.add(min(window, key=lambda j: (abs(last[j] - pred), j)))
         for j in sorted(near | lone):
             row = np.empty(m)
             row[keep] = prefix
             row[held] = last[j]
             out.append((tuple(row.tolist()), j in near))
-    return out
+    return held, out

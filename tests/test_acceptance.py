@@ -271,7 +271,7 @@ def test_criterion_09():
     # The echoes here are exact, so the sweep runs with a 1e-12 residual
     # threshold: true tuples stay below 5e-16 while tuples mixing two walls
     # stay above 7e-11 for arrays this size (spread ~3 vs mirrors 1-4 away).
-    # The loose 1e-6 default is meant for measured, noisy data.
+    # Below 1e-6 the threshold leaves tau at 1e-8 (diameter + span).
     tic = time.perf_counter()
     rng = np.random.default_rng(2024)
     config = el.MatchConfig(residual_threshold=1e-12)

@@ -311,6 +311,27 @@ def test_goodness_finds_every_wall_on_a_nearly_flat_layout():
             assert report.missed_walls == 0
 
 
+def test_raising_the_threshold_widens_tau_for_jittered_times():
+    # Jitter of 1e-7 moves the held-out arrivals off their predictions by
+    # more than tau = 1e-8 (diameter + span), the default, so walls go
+    # missing; a threshold of 1e-4 widens tau to 1e-6 (diameter + span),
+    # and every wall is found from 7 events (6 mirrors and the source).
+    room, sensors = shoebox()
+    exact = el.simulate_echoes(room, sensors, include_direct=True)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        jittered = [t + rng.normal(0.0, 1e-7, t.size) for t in exact.times]
+        table = el.ReceptionTable.from_lists(jittered)
+        found = []
+        for threshold in (1e-6, 1e-4):
+            config = el.MatchConfig(residual_threshold=threshold)
+            walls = el.detect_walls(sensors, table, room.loudspeaker, config)
+            found.append([any(el.same_plane(wall, true, 1e-3, 1e-3) for wall in walls.walls)
+                          for true in room.walls])
+        assert not all(found[0]) and all(found[1])
+        assert len(walls.match.events) == 7
+
+
 def test_goodness_margin_undefined_for_single_source():
     room = el.Room((el.Wall([0, 0, 1], 0.0),), [0.4, 0.3, 1.0])
     sensors = el.SensorArray(
@@ -337,10 +358,7 @@ def test_mixed_margin_is_the_reference_walks_mixed_minimum(monkeypatch, include_
     emitters = acoustics._emitters(room, 0.0, include_direct)
     genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in emitters}
     dist = sensors.pairwise_distances()
-    scale = sensors.diameter() + table.span()
-    screen = prediction_screen(sensors, table.times, sensors.count - 1,
-                               matching._default_slack(sensors, table), 1e-8 * scale,
-                               1e-12 * scale * scale)
+    _, screen = prediction_screen(sensors, table)
     rows = [row for row, _ in screen]
     residuals = el.batched_relation_residuals(np.array(rows), dist * dist)
     threshold = el.MatchConfig().residual_threshold

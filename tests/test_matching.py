@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -157,7 +158,23 @@ def test_near_duplicate_events_are_merged():
     assert report.events[0].event_time == pytest.approx(1.0, abs=1e-6)
 
 
-def test_numeric_failures_are_skipped_not_fatal(tmp_path, capsys):
+def test_numeric_failures_are_skipped_not_fatal():
+    # 1e-12 off a plane: the fourth sensor can be held out exactly, but the
+    # accepted tuple's solve finds the sensors not spanning at rank_tol
+    flat = el.SensorArray(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.5, -0.7, 1e-12]]
+    )
+    event = el.EmissionEvent(2.0, [0.3, 0.4, 0.0])
+    table = el.ReceptionTable.from_lists([[t] for t in el.event_arrivals(flat, event)])
+    report = el.match_events(flat, table)
+    assert report.events == ()
+    assert len(report.skipped) == 1
+    tuple_times, reason = report.skipped[0]
+    assert reason.startswith("NotSpanning")
+    assert tuple_times == tuple(float(t) for t in el.event_arrivals(flat, event))
+
+
+def test_exactly_coplanar_layout_raises_not_spanning(tmp_path, capsys):
     # An exactly coplanar layout leaves no n+1 sensors to predict from, so
     # the match raises NotSpanning before the walk, as solve does, and the
     # CLI exits 3.
@@ -270,48 +287,79 @@ def _survivors(sensors, table):
     return [tuple(row) for block in blocks for row in block.tolist()]
 
 
-def _reference_screen(sensors, table):
-    """The rows the reference screen confirms, and whether each is near."""
-    scale = sensors.diameter() + table.span()
-    slack = matching._default_slack(sensors, table)
-    return prediction_screen(sensors, table.times, sensors.count - 1, slack, 1e-8 * scale,
-                             1e-12 * scale * scale)
+@functools.cache
+def _dense_scene(seed: int):
+    """Twelve events within three time units, and its reference screen."""
+    sensors, events, table = _scene(seed, n_events=12, span=3.0)
+    return sensors, events, table, prediction_screen(sensors, table)
+
+
+def _screen_is_the_reference(sensors, table, reference=None):
+    """Assert that the match screens and accepts what the reference screen does.
+
+    Returns the report, the screened rows, their near flags and which of
+    them the reference accepts.
+    """
+    held, screen = reference or prediction_screen(sensors, table)
+    assert matching._held_out(sensors)[0] == held
+    rows = np.array([row for row, _ in screen])
+    near = np.array([flag for _, flag in screen])
+    dist = sensors.pairwise_distances()
+    residuals = el.batched_relation_residuals(rows, dist * dist)
+    hits = near & (residuals <= el.MatchConfig().residual_threshold)
+    seen = []
+    screen_fn = matching.batched_relation_residuals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "batched_relation_residuals",
+                   lambda tuples, dist2: seen.append(tuples.copy()) or screen_fn(tuples, dist2))
+        report = el.match_events(sensors, table)
+    assert np.concatenate(seen).tolist() == rows.tolist()
+    want = list(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
+    assert list(report.accepted) == want
+    assert report.accepted_tuples == len(want)
+    assert report.rejected_floor == float(residuals[~hits].min())
+    return report, rows, near, hits
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 11, None])
 def test_report_holds_the_screen_of_the_reference_walk(monkeypatch, chunk_rows):
     if chunk_rows is not None:
         monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
-    threshold = el.MatchConfig().residual_threshold
     lone_rows = 0
     for seed in (1, 2, 3):
-        # twelve events within three time units: many prefixes pass the windows
-        sensors, events, table = _scene(seed, n_events=12, span=3.0)
-        assert matching._held_out(sensors)[0] == sensors.count - 1
-        screen = _reference_screen(sensors, table)
-        rows = np.array([row for row, _ in screen])
-        near = np.array([flag for _, flag in screen])
-        dist = sensors.pairwise_distances()
-        residuals = el.batched_relation_residuals(rows, dist * dist)
-        hits = near & (residuals <= threshold)
+        # many prefixes pass the windows
+        sensors, events, table, reference = _dense_scene(seed)
+        report, _, near, hits = _screen_is_the_reference(sensors, table, reference)
         assert hits.sum() == 12 and not near.all()
         lone_rows += int((~near).sum())
-
-        seen = []
-        screen_fn = matching.batched_relation_residuals
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matching, "batched_relation_residuals",
-                       lambda tuples, dist2: seen.append(tuples.copy()) or screen_fn(tuples, dist2))
-            report = el.match_events(sensors, table)
-        assert np.concatenate(seen).tolist() == rows.tolist()
-        want = list(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
-        assert list(report.accepted) == want
-        assert report.accepted_tuples == len(want)
-        assert report.rejected_floor == float(residuals[~hits].min())
         assert {ev.source_times for ev in report.events} == {
             tuple(el.event_arrivals(sensors, ev).tolist()) for ev in events
         }
     assert lone_rows > 0
+
+
+@pytest.mark.parametrize("thickness", [1e-4, 1e-5])
+def test_nearly_flat_prefixes_screen_what_the_reference_screens(thickness):
+    # Sensors within a thickness of a plane: many prefix quadratics have
+    # |a| > 1e6, and those prefixes screen their whole window.
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-1.0, 1.0, (5, 2))
+    sensors = el.SensorArray(np.column_stack([base, thickness * rng.standard_normal(5)]))
+    events = [el.EmissionEvent(float(t), rng.uniform(-1.5, 1.5, 3))
+              for t in np.sort(rng.uniform(0.0, 3.0, 12))]
+    table = el.ReceptionTable.from_events(sensors, events)
+    report, rows, _, _ = _screen_is_the_reference(sensors, table)
+    sub = el.SensorArray(sensors.positions[:4])  # the last sensor is held out
+    flat = 0
+    for prefix in {tuple(row) for row in rows[:, :4].tolist()}:
+        try:
+            flat += abs(el.solve(sub, prefix).quadratic[0]) > 1e6
+        except el.NumericError:
+            continue
+    assert flat > 0
+    accepted = {source for source, _ in report.accepted}
+    for event in events:
+        assert tuple(el.event_arrivals(sensors, event).tolist()) in accepted
 
 
 def test_rejected_floor_is_none_when_nothing_is_rejected():
