@@ -13,9 +13,10 @@ A sensor position is *good* for a room when no combination of echoes from
 different walls masquerades as a single consistent event — i.e. when the
 detector finds every wall and nothing else.  :func:`goodness_check` probes
 this empirically by perturbing the sensors and watching for ghost walls and
-for collapsing relation residuals on the mixed tuples the matcher screens.
-Those residuals are read from the matcher's own report, so each simulated
-table is walked and screened once.
+for collapsing relation residuals on the mixed tuples the matcher picks.
+Those tuples are read from the matcher's own report, so each simulated
+table is walked once; the margin screens only the tuples the matcher
+left unconfirmed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import DegenerateMirror, DimensionMismatch, ValidationError
 from .lateration import EmissionEvent, SensorArray, event_arrivals
 from .linalg import fsum_dot
 from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, match_events
+from .relations import batched_relation_residuals
 
 #: Components of a unit normal smaller than this are treated as zero when
 #: choosing the canonical orientation, so that tiny numerical noise cannot
@@ -265,17 +267,18 @@ class GoodnessReport:
     ``ghost_walls`` counts detected walls matching no true wall,
     ``missed_walls`` true walls never detected.  The margin is the smallest
     relation residual over the *mixed* tuples (times from at least two
-    virtual sources) that :func:`match_events` screens, which are the
-    held-out arrivals its predictions pick; a healthy layout keeps it far
-    above the acceptance threshold, while a degenerate one lets it collapse
-    toward zero.  It is read from each :class:`MatchReport`: the smallest
-    rejected residual and the residuals of the accepted mixed tuples.  A
-    margin above the threshold means that no mixed tuple was accepted.  The
-    converse does not hold: a mixed tuple with a small residual is rejected
-    when it is not within tau of a prediction, and a genuine tuple the
-    screen rejects (at a threshold below the genuine residuals, about 1e-15
-    on the shoebox) counts too.  None when the only screened tuples are
-    accepted genuine ones, as in a scene with one source.
+    virtual sources) whose held-out arrival a prediction of
+    :func:`match_events` picks; a healthy layout keeps it far above the
+    acceptance threshold, while a degenerate one lets it collapse toward
+    zero.  It comes from each :class:`MatchReport`: the smallest rejected
+    residual, the residuals of the accepted mixed tuples and those of the
+    ``unconfirmed`` tuples, computed here.  A margin above the threshold
+    means that no mixed tuple was accepted.  The converse does not hold: a
+    mixed tuple with a small residual is not accepted when it is not
+    within tau of a prediction, and a genuine tuple the screen rejects (at
+    a threshold below the genuine residuals, about 1e-15 on the shoebox)
+    counts too.  None when the only picked tuples are accepted genuine
+    ones, as in a scene with one source.
     """
 
     trials: int
@@ -339,15 +342,20 @@ def goodness_check(
 
 
 def _mixed_margin(report: MatchReport, sensors: SensorArray, emitters: list) -> float | None:
-    """Smallest relation residual over the mixed tuples a match screened.
+    """Smallest relation residual over the mixed tuples a match picked.
 
-    Read from ``report``: the smallest rejected residual and the residuals
+    The minimum of ``report``'s smallest rejected residual, the residuals
     of the accepted tuples that are not genuine, where a genuine tuple
-    equals one emitter's :func:`event_arrivals` exactly.  None when the
-    screen rejected nothing and accepted only genuine tuples.
+    equals one emitter's :func:`event_arrivals` exactly, and the residuals
+    of its ``unconfirmed`` tuples, screened here in one batch.  None when
+    the match rejected nothing, left nothing unconfirmed and accepted only
+    genuine tuples.
     """
     genuine = {tuple(event_arrivals(sensors, ev).tolist()) for ev in emitters}
     lows = [residual for source, residual in report.accepted if source not in genuine]
     if report.rejected_floor is not None:
         lows.append(report.rejected_floor)
+    if len(report.unconfirmed):
+        dist = sensors.pairwise_distances()
+        lows.append(float(batched_relation_residuals(report.unconfirmed, dist * dist).min()))
     return min(lows, default=None)

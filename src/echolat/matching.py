@@ -13,7 +13,8 @@ The walk runs over n+1 of the sensors.  Each of their surviving tuples (a
 prefix) determines its event in closed form, the reduced quadratic of
 :func:`solve`, and so predicts the arrival at the held-out sensor.  Only
 the held-out arrivals near a prediction are confirmed by relation residual
-and multilaterated; the deduplicated events are reported.  The walk
+and multilaterated; the deduplicated events are reported, and the nearest
+arrival of each prediction with none near goes out unconfirmed.  The walk
 finds the windows of a whole block of prefixes with one ``searchsorted``
 per side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows,
 each walked to the last sensor before the next is built, so prefixes come
@@ -179,13 +180,18 @@ class MatchReport:
     reason) pairs.  Events are sorted by (time, lexicographic position).
 
     The screen itself is reported too.  Of the evaluated tuples only those
-    a prefix's prediction picks are screened by relation residual (see
-    :func:`match_events`).  ``accepted`` holds every screened tuple that was
-    within tau of a prediction and had a residual at most the threshold, as
-    (source_times, residual) pairs in walk order, including those later
-    skipped or dropped as ambiguous; ``accepted_tuples`` is its length.
-    ``rejected_floor`` is the smallest residual of a screened tuple that
-    was not accepted, None when every screened tuple was accepted.
+    a prefix's prediction picks are screened (see :func:`match_events`).
+    The near ones, within tau of a prediction, are confirmed by relation
+    residual.  ``accepted`` holds every near tuple whose residual is at
+    most the threshold, as (source_times, residual) pairs in walk order,
+    including those later skipped or dropped as ambiguous;
+    ``accepted_tuples`` is its length.  ``rejected_floor`` is the smallest
+    residual of a near tuple that was not accepted, None when every near
+    tuple was accepted.  ``unconfirmed`` holds the other picked tuples,
+    the nearest window arrival of each prediction with none near, as a
+    read-only (k, m) array in walk order; they cannot be accepted, so no
+    residual is computed for them.  It holds about one row per prefix, so
+    unlike the walk's pieces it grows with the scene.
     """
 
     events: tuple[DetectedEvent, ...]
@@ -198,6 +204,7 @@ class MatchReport:
     dropped_ambiguous: int
     accepted: tuple[tuple[tuple[float, ...], float], ...]
     rejected_floor: float | None
+    unconfirmed: np.ndarray
 
 
 def _default_slack(sensors: SensorArray, table: ReceptionTable) -> float:
@@ -334,7 +341,7 @@ def _predict(prefixes, inverse, local, diameter, disc_tol):
 
 
 def _screen_rows(arrivals, wlo, whi, predicted, fragile, tau):
-    """The (prefix, arrival) pairs to confirm, in walk order, and which are near.
+    """The (prefix, arrival) pairs the predictions pick, in walk order, and which are near.
 
     Prefix i's window is ``arrivals[wlo[i]:whi[i]]``.  Each root screens the
     window's arrivals within ``tau`` of its prediction (near), or failing
@@ -388,9 +395,10 @@ def match_events(
     timing noise of more than about 1e-9 of that scale needs a higher
     threshold.  A prefix whose root is too ill-conditioned to predict from
     (a near-linear, nearly flat or near-double quadratic, see
-    :func:`_predict`) screens its whole window.  A screened tuple is
-    accepted when it is within tau (or its prefix is fragile) and its
-    relation residual is at most ``config.residual_threshold``.
+    :func:`_predict`) screens its whole window.  Only the tuples within
+    tau (or from a fragile prefix) are confirmed: one is accepted when its
+    relation residual is at most ``config.residual_threshold``.  The
+    nearest-arrival tuples are reported unconfirmed.
 
     Each accepted tuple is multilaterated and its non-spurious candidates
     become detected events.  Ambiguous tuples (two viable candidates)
@@ -430,6 +438,7 @@ def match_events(
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted: list[tuple[tuple[float, ...], float]] = []
     floors: list[float] = []
+    unconfirmed = [np.empty((0, m))]
     evaluated = 0
     dropped_ambiguous = 0
 
@@ -441,13 +450,15 @@ def match_events(
         evaluated += int((whi - wlo).sum())
         predicted, fragile = _predict(prefixes, inverse, local, prefix_dist.max(), disc_tol)
         which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau)
-        if not which.size:
-            continue
         rows = np.empty((which.size, m))
         rows[:, keep] = prefixes[which]
         rows[:, held] = arrivals[index]
+        unconfirmed.append(rows[~near])
+        rows = rows[near]
+        if not rows.size:
+            continue
         residuals = batched_relation_residuals(rows, dist2)
-        hits = near & (residuals <= config.residual_threshold)
+        hits = residuals <= config.residual_threshold
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
         for row, residual in zip(rows[hits], residuals[hits].tolist()):
@@ -476,6 +487,8 @@ def match_events(
                 )
 
     events = _dedup_events(found, _DEDUP_EPS, _DEDUP_EPS * sensors.diameter())
+    lone = np.concatenate(unconfirmed)
+    lone.setflags(write=False)
     return MatchReport(
         events=tuple(events),
         candidate_tuples=product,
@@ -487,4 +500,5 @@ def match_events(
         dropped_ambiguous=dropped_ambiguous,
         accepted=tuple(accepted),
         rejected_floor=min(floors, default=None),
+        unconfirmed=lone,
     )

@@ -52,6 +52,7 @@ TRACER_SEAMS = [
     ("echolat.matching", "solve"),
     ("echolat.matching", "batched_relation_residuals"),
     ("echolat.acoustics", "match_events"),
+    ("echolat.acoustics", "batched_relation_residuals"),
     ("echolat.acoustics", "simulate_echoes"),
     ("echolat.acoustics", "detect_walls"),
 ]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
-from echolat import matching
+from echolat import acoustics, matching
 from echolat.cli import main
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
 from oracles import prediction_screen, survivor_blocks
@@ -294,11 +294,14 @@ def _dense_scene(seed: int):
     return sensors, events, table, prediction_screen(sensors, table)
 
 
-def _screen_is_the_reference(sensors, table, reference=None):
+def _screen_is_the_reference(sensors, events, table, reference=None):
     """Assert that the match screens and accepts what the reference screen does.
 
-    Returns the report, the screened rows, their near flags and which of
-    them the reference accepts.
+    The matcher's residual seam sees the reference's near rows and
+    ``unconfirmed`` holds its other rows, each in walk order.  The goodness
+    margin over both equals the minimum over every screened row but the
+    accepted genuine ones.  Returns the report, the rows, their near flags
+    and which of them the reference accepts.
     """
     held, screen = reference or prediction_screen(sensors, table)
     assert matching._held_out(sensors)[0] == held
@@ -313,11 +316,18 @@ def _screen_is_the_reference(sensors, table, reference=None):
         mp.setattr(matching, "batched_relation_residuals",
                    lambda tuples, dist2: seen.append(tuples.copy()) or screen_fn(tuples, dist2))
         report = el.match_events(sensors, table)
-    assert np.concatenate(seen).tolist() == rows.tolist()
+    assert np.concatenate(seen).tolist() == rows[near].tolist()
+    assert report.unconfirmed.tolist() == rows[~near].tolist()
+    assert not report.unconfirmed.flags.writeable
     want = list(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
     assert list(report.accepted) == want
     assert report.accepted_tuples == len(want)
-    assert report.rejected_floor == float(residuals[~hits].min())
+    rejected = residuals[near & ~hits]
+    assert report.rejected_floor == (float(rejected.min()) if rejected.size else None)
+    genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in events}
+    kept = [res for row, res, hit in zip(rows.tolist(), residuals.tolist(), hits)
+            if not (hit and tuple(row) in genuine)]
+    assert acoustics._mixed_margin(report, sensors, events) == min(kept, default=None)
     return report, rows, near, hits
 
 
@@ -329,7 +339,7 @@ def test_report_holds_the_screen_of_the_reference_walk(monkeypatch, chunk_rows):
     for seed in (1, 2, 3):
         # many prefixes pass the windows
         sensors, events, table, reference = _dense_scene(seed)
-        report, _, near, hits = _screen_is_the_reference(sensors, table, reference)
+        report, _, near, hits = _screen_is_the_reference(sensors, events, table, reference)
         assert hits.sum() == 12 and not near.all()
         lone_rows += int((~near).sum())
         assert {ev.source_times for ev in report.events} == {
@@ -348,7 +358,7 @@ def test_nearly_flat_prefixes_screen_what_the_reference_screens(thickness):
     events = [el.EmissionEvent(float(t), rng.uniform(-1.5, 1.5, 3))
               for t in np.sort(rng.uniform(0.0, 3.0, 12))]
     table = el.ReceptionTable.from_events(sensors, events)
-    report, rows, _, _ = _screen_is_the_reference(sensors, table)
+    report, rows, _, _ = _screen_is_the_reference(sensors, events, table)
     sub = el.SensorArray(sensors.positions[:4])  # the last sensor is held out
     flat = 0
     for prefix in {tuple(row) for row in rows[:, :4].tolist()}:
