@@ -18,7 +18,9 @@ arrival of each prediction with none near goes out unconfirmed.  The walk
 finds the windows of a whole block of prefixes with one ``searchsorted``
 per side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows,
 each walked to the last sensor before the next is built, so prefixes come
-out in lexicographic order and memory stays bounded.
+out in lexicographic order and memory stays bounded.  Its blocks are
+sensor-major (Fortran-ordered), so the max and min over a prefix's sensors
+run across contiguous columns rather than along numpy's slow short axis.
 :meth:`ReceptionTable.from_events` is the one place where reception tables
 are built from emissions.
 """
@@ -220,7 +222,10 @@ def _walk(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> Ite
     block piece by piece: a piece holds the extensions of consecutive
     prefixes, at most ``_CHUNK_ROWS`` rows unless one prefix alone has
     more, and is walked to the last sensor before the next piece is built.
-    The yielded rows therefore come out in lexicographic order.
+    The yielded rows therefore come out in lexicographic order.  Blocks are
+    Fortran-ordered (k, l), one contiguous column per sensor, because every
+    reduction over a prefix's sensors is then an elementwise max or min
+    across columns.
     """
     m = len(arrays)
 
@@ -243,8 +248,9 @@ def _walk(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> Ite
             stop = max(int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right")), start + 1)
             width = counts[start:stop]
             rows = int(ends[stop - 1]) - done
-            block = np.empty((rows, level + 1))
-            block[:, :level] = np.repeat(prefixes[start:stop], width, axis=0)
+            block = np.empty((rows, level + 1), order="F")
+            for col in range(level):
+                block[:, col] = np.repeat(prefixes[start:stop, col], width)
             first = lo[start:stop] - (ends[start:stop] - width - done)
             block[:, level] = arr[np.repeat(first, width) + np.arange(rows)]
             if level == m - 1:
@@ -312,7 +318,9 @@ def _predict(prefixes, inverse, local, diameter, disc_tol):
     the given ``diameter``), and the (k,) mask of fragile prefixes, whose
     roots are too ill-conditioned to predict from: near-linear (|a| at most
     ``lateration._DEGENERACY_TOL``), nearly flat (|a| > 1e6) or near-double
-    (|disc| <= ``disc_tol``).
+    (|disc| <= ``disc_tol``).  The times are gathered C-ordered, one
+    contiguous row per sensor, so the per-prefix min and max of
+    :func:`_spurious` also run across rows.
     """
     origin = prefixes[:, 0]
     cols = (prefixes - origin[:, None]).T
@@ -333,10 +341,11 @@ def _predict(prefixes, inverse, local, diameter, disc_tol):
     ok = np.flatnonzero(~fragile & (disc > 0.0))
     q = -0.5 * (b[ok] + np.copysign(np.sqrt(disc[ok]), b[ok]))
     roots = np.stack((q / a[ok], c[ok] / q))
-    late = _spurious(roots, cols[:, ok], diameter)
+    late = _spurious(roots, np.take(cols, ok, axis=1), diameter)
+    u, v, base = [e[ok] for e in u], [f[ok] for f in v], origin[ok]
     for col, root in enumerate(roots):
-        reach = np.sqrt(sum((root * e[ok] + f[ok]) ** 2 for e, f in zip(u, v)))
-        out[ok, col] = np.where(late[col], np.nan, origin[ok] + root + reach)
+        reach = np.sqrt(sum((root * e + f) ** 2 for e, f in zip(u, v)))
+        out[ok, col] = np.where(late[col], np.nan, base + root + reach)
     return out, fragile
 
 
@@ -434,6 +443,7 @@ def match_events(
     arrivals = table.times[held]
     to_held = dist[keep, held]
     prefix_dist = dist[np.ix_(keep, keep)]
+    prefix_diameter = prefix_dist.max()
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted: list[tuple[tuple[float, ...], float]] = []
@@ -448,7 +458,7 @@ def match_events(
         whi = np.searchsorted(arrivals, (prefixes + to_held).min(axis=1) + slack, side="right")
         whi = np.maximum(whi, wlo)
         evaluated += int((whi - wlo).sum())
-        predicted, fragile = _predict(prefixes, inverse, local, prefix_dist.max(), disc_tol)
+        predicted, fragile = _predict(prefixes, inverse, local, prefix_diameter, disc_tol)
         which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau)
         rows = np.empty((which.size, m))
         rows[:, keep] = prefixes[which]

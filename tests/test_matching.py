@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
-from echolat import acoustics, matching
+from echolat import acoustics, lateration, matching
 from echolat.cli import main
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
 from oracles import prediction_screen, survivor_blocks
@@ -348,16 +348,21 @@ def test_report_holds_the_screen_of_the_reference_walk(monkeypatch, chunk_rows):
     assert lone_rows > 0
 
 
-@pytest.mark.parametrize("thickness", [1e-4, 1e-5])
-def test_nearly_flat_prefixes_screen_what_the_reference_screens(thickness):
-    # Sensors within a thickness of a plane: many prefix quadratics have
-    # |a| > 1e6, and those prefixes screen their whole window.
+def _flat_scene(thickness: float):
+    """Twelve events heard by 5 sensors within ``thickness`` of a plane."""
     rng = np.random.default_rng(3)
     base = rng.uniform(-1.0, 1.0, (5, 2))
     sensors = el.SensorArray(np.column_stack([base, thickness * rng.standard_normal(5)]))
     events = [el.EmissionEvent(float(t), rng.uniform(-1.5, 1.5, 3))
               for t in np.sort(rng.uniform(0.0, 3.0, 12))]
-    table = el.ReceptionTable.from_events(sensors, events)
+    return sensors, events, el.ReceptionTable.from_events(sensors, events)
+
+
+@pytest.mark.parametrize("thickness", [1e-4, 1e-5])
+def test_nearly_flat_prefixes_screen_what_the_reference_screens(thickness):
+    # Sensors within a thickness of a plane: many prefix quadratics have
+    # |a| > 1e6, and those prefixes screen their whole window.
+    sensors, events, table = _flat_scene(thickness)
     report, rows, _, _ = _screen_is_the_reference(sensors, events, table)
     sub = el.SensorArray(sensors.positions[:4])  # the last sensor is held out
     flat = 0
@@ -370,6 +375,37 @@ def test_nearly_flat_prefixes_screen_what_the_reference_screens(thickness):
     accepted = {source for source, _ in report.accepted}
     for event in events:
         assert tuple(el.event_arrivals(sensors, event).tolist()) in accepted
+
+
+@pytest.mark.parametrize("scene", ["dense-1", "dense-2", "dense-3", "flat"])
+def test_prediction_does_not_depend_on_the_prefix_layout(scene):
+    # Reductions over the sensor axis are max and min only, so C- and
+    # F-ordered copies of the same prefixes give the same bits.
+    if scene == "flat":
+        sensors, _, table = _flat_scene(1e-5)
+    else:
+        sensors, _, table, _ = _dense_scene(int(scene[-1]))
+    _, keep, local, inverse = matching._held_out(sensors)
+    dist = sensors.pairwise_distances()[np.ix_(keep, keep)]
+    slack = matching._default_slack(sensors, table)
+    prefixes = np.concatenate(list(matching._walk(tuple(table.times[i] for i in keep),
+                                                  dist, slack)))
+    scale = sensors.diameter() + table.span()
+    outputs = [matching._predict(layout(prefixes), inverse, local, dist.max(), 1e-12 * scale**2)
+               for layout in (np.ascontiguousarray, np.asfortranarray)]
+    (c_pred, c_fragile), (f_pred, f_fragile) = outputs
+    assert c_pred.tobytes() == f_pred.tobytes()
+    assert c_fragile.tobytes() == f_fragile.tobytes()
+    assert np.isfinite(c_pred).any()
+    assert c_fragile.any() == (scene == "flat")
+
+    times = prefixes.T
+    rng = np.random.default_rng(0)
+    emit = times.min(axis=0) + 1e-8 * scale * rng.standard_normal(times.shape[1])
+    flags = [lateration._spurious(emit, layout(times), dist.max())
+             for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert flags[0].tobytes() == flags[1].tobytes()
+    assert 0 < flags[0].sum() < flags[0].size
 
 
 def test_rejected_floor_is_none_when_nothing_is_rejected():
@@ -480,6 +516,7 @@ def test_walk_matches_the_reference_walk(scene, slack, chunk_rows):
         blocks = list(matching._walk(arrays, dist, slack))
     assert all(0 < block.shape[0] <= limit for block in blocks)
     assert all(block.shape[1] == len(arrays) for block in blocks)
+    assert all(block.flags.f_contiguous for block in blocks)
     got = [tuple(row) for block in blocks for row in block.tolist()]
     assert got == want
     # match_events reports the product minus the screened rows as pruned
