@@ -2,7 +2,9 @@
 
 :func:`solve` recovers one emission event from one reception time per
 sensor; :func:`check_geometry` diagnoses whether a sensor layout makes that
-event unique.
+event unique.  Only the time column of the linearised system depends on the
+times, so a :class:`SensorArray` factors its geometry block exactly once
+(:func:`linalg.exact_factor`) and every square solve on it reuses that.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +87,15 @@ class SensorArray:
     def spans_space(self, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> bool:
         """True if the sensors affinely span R^n (numeric rank decision)."""
         return _affine_rank(self.positions, rank_tol) == self.dim
+
+    @cached_property
+    def _factor(self) -> linalg.ExactFactor | None:
+        """The exact factorisation of G = (2 a_i, -1) that :func:`solve` shares.
+
+        Built on the first square solve (n+1 or n+2 sensors) and kept on the
+        instance; None when no n+1 of the sensors give an invertible block.
+        """
+        return linalg.exact_factor(_linearise(self, np.zeros(self.count))[:, 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +241,17 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     more than 1e-9 times the time span plus the sensor diameter) cannot be
     a physical event for the one-sided model and is flagged as spurious.
 
-    Every solve is exact and rounded once (:func:`linalg.least_squares_solve`),
-    and each quadratic coefficient is rounded once from (u, alpha) and
-    (v, beta) (:func:`linalg.fsum_dot`), so no printed digit depends on the
-    BLAS library.
+    Every linear solve is exact and rounded once per component, and each
+    quadratic coefficient is rounded once from (u, alpha) and (v, beta)
+    (:func:`linalg.fsum_dot`), so no printed digit depends on the BLAS
+    library.  The square systems (n+2 sensors on the full-rank path, n+1 on
+    the quadratic path) use the layout's one exact factorisation of ``G``,
+    built on the first such solve and kept on ``sensors``: the emission time
+    is ``gamma.b / gamma.c`` for the left null vector ``gamma`` of ``G``, and
+    the rest comes from the adjugate of an invertible block.  Tall systems,
+    a layout with no invertible block and an exactly singular system go to
+    :func:`linalg.least_squares_solve`, which raises :class:`RankDeficient`
+    for an exactly singular one.
     """
     t = _as_times(times, sensors.count)
     m, n = sensors.positions.shape
@@ -242,15 +261,24 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
     diameter = sensors.diameter()
     if rank == n + 2:
-        solution = linalg.least_squares_solve(amat, _rhs(sensors, t))
+        rhs = _rhs(sensors, t)
+        solution = None
+        if m == n + 2 and sensors._factor is not None:
+            solution = sensors._factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
+        if solution is None:
+            solution = linalg.least_squares_solve(amat, rhs)
         event = EmissionEvent(solution[0], solution[1 : n + 1])
         cand = Candidate(event, bool(_spurious(event.time, t, diameter)))
         return SolveResult(path=SolvePath.FULL_RANK, candidates=(cand,), rank=rank)
 
     if not sensors.spans_space(rank_tol):
         raise NotSpanning("sensors do not affinely span the ambient space")
-    rhs = np.array((2.0 * t, _rhs(sensors, t))).T
-    t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
+    columns = (2.0 * t, _rhs(sensors, t))
+    if m == n + 1 and sensors._factor is not None:
+        t_part, const_part = sensors._factor.solve([col.tolist() for col in columns])
+    else:
+        rhs = np.array(columns).T
+        t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
     u, alpha = t_part[:n], t_part[n]
     v, beta = const_part[:n], const_part[n]
     coeff_a = linalg.fsum_dot(u, u, -1.0)

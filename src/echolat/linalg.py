@@ -9,7 +9,9 @@ Only :func:`numeric_rank` decides a rank, with numpy's SVD: singular
 values against a relative cutoff.  The steps that produce digits do not go
 through BLAS or LAPACK: :func:`least_squares_solve` solves exactly in
 integer arithmetic, refusing only exactly dependent columns, and rounds
-once, and :func:`fsum_dot` rounds a dot product once with
+once; :func:`exact_factor` does the same elimination once for a matrix
+whose right-hand sides change, so that each later square solve is a few
+integer dot products; and :func:`fsum_dot` rounds a dot product once with
 :func:`math.fsum`.  Their results are the same under every BLAS kernel and
 on every IEEE-754 machine.  :func:`hadamard_ratio` still calls
 ``np.linalg.det``.
@@ -89,12 +91,25 @@ def least_squares_solve(a, b) -> np.ndarray:
     return np.array(solutions).reshape(rhs.shape[1], arr.shape[1]).T
 
 
-def _integer_rows(arr: np.ndarray) -> list[list[int]]:
-    """The rows of ``arr`` as integers, all scaled by one power of two."""
-    mantissa, exponent = np.frexp(arr)
-    ints = (mantissa * 9007199254740992.0).astype(np.int64).tolist()  # times 2**53
-    shifts = (exponent - exponent.min(initial=0)).tolist()  # initial: allow empty
-    return [[i << s for i, s in zip(irow, srow)] for irow, srow in zip(ints, shifts)]
+def _integers(values: list[float]) -> tuple[list[int], int]:
+    """Integers ``k`` and one exponent ``e`` with ``values[i] == k[i] * 2**e`` exactly."""
+    ratios = [value.as_integer_ratio() for value in values]
+    # Every denominator is a power of two; scale all to the largest.
+    top = max([den for _, den in ratios], default=1).bit_length()
+    return [num << (top - den.bit_length()) for num, den in ratios], 1 - top
+
+
+def _quotient(num: int, den: int, exponent: int) -> float:
+    """``num * 2**exponent / den`` rounded once, the shift applied before the division."""
+    if exponent < 0:
+        den <<= -exponent
+    else:
+        num <<= exponent
+    return num / den + 0.0  # +0.0 scrubs negative zeros
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
 
 
 def _exact_lstsq(augmented: np.ndarray, n: int) -> list[list[float]]:
@@ -103,15 +118,30 @@ def _exact_lstsq(augmented: np.ndarray, n: int) -> list[list[float]]:
     ``A`` has ``n`` columns and full column rank.  Its entries and those of
     ``B`` become integers (one common scale, which cancels); a tall system
     is replaced by its normal equations, which are exact in integers.  The
-    square system is solved by fraction-free (Bareiss) elimination, so
-    every intermediate is an integer minor, and each solution component
-    ``X_i / det`` is rounded once by Python's correctly rounded integer
-    division.
+    square system is solved by :func:`_bareiss`, and each solution
+    component ``X_i / det`` is rounded once by Python's correctly rounded
+    integer division.
     """
-    rows = _integer_rows(augmented)
+    width = augmented.shape[1]
+    ints, _ = _integers(augmented.ravel().tolist())
+    rows = [ints[i : i + width] for i in range(0, len(ints), width)]
     if len(rows) > n:
         cols = list(zip(*rows))
         rows = [[sum(map(mul, ci, cj)) for cj in cols] for ci in cols[:n]]
+    det, solutions = _bareiss(rows, n, width)
+    return [[e / det + 0.0 for e in x] for x in solutions]  # +0.0 scrubs negative zeros
+
+
+def _bareiss(rows: list[list[int]], n: int, width: int) -> tuple[int, list[list[int]]]:
+    """Fraction-free (Bareiss) elimination of the integer system ``rows = [A | B]``.
+
+    ``A`` is n x n and ``B`` fills the columns up to ``width``.  Every
+    intermediate is an integer minor.  Returns ``d``, the determinant of
+    ``A`` up to the sign of the row swaps, and for each column ``b`` of
+    ``B`` the integer vector ``d A^-1 b`` (Cramer's rule), so that ``B`` =
+    I gives the adjugate up to that sign.  ``rows`` is overwritten.
+    Raises :class:`RankDeficient` when ``A`` is singular.
+    """
     prev = 1
     for p in range(n):
         q = p
@@ -128,13 +158,95 @@ def _exact_lstsq(augmented: np.ndarray, n: int) -> list[list[float]]:
     # Back substitution for X = det * x, which is integral (Cramer's rule).
     det = prev
     solutions = []
-    for c in range(n, augmented.shape[1]):
+    for c in range(n, width):
         x = [0] * n
         for i in reversed(range(n)):
             row = rows[i]
             x[i] = (det * row[c] - sum(map(mul, row[i + 1 : n], x[i + 1 :]))) // row[i]
-        solutions.append([e / det + 0.0 for e in x])  # +0.0 scrubs negative zeros
-    return solutions
+        solutions.append(x)
+    return det, solutions
+
+
+@dataclass(frozen=True, eq=False)
+class ExactFactor:
+    """An exact factorisation of a k x k or (k+1) x k matrix ``G`` of rank k.
+
+    ``G`` is held as integers times ``2**exponent``.  ``block`` lists the k
+    rows of an invertible square block of those integers; ``det`` is its
+    determinant up to sign and ``adjugate`` the matching ``det * inverse``,
+    row by row, both from one :func:`_bareiss` pass over [block | I].  For
+    k+1 rows, ``null`` is the left null vector of ``G`` made of signed
+    k-minors (``null @ G == 0``); it is empty for k rows.  Every solve is
+    the exact rational solution, rounded once per component, so it agrees
+    bit for bit with :func:`least_squares_solve` on the same square system.
+    Build one with :func:`exact_factor`.
+    """
+
+    exponent: int
+    block: tuple[int, ...]
+    det: int
+    adjugate: tuple[tuple[int, ...], ...]
+    null: tuple[int, ...]
+
+    def solve(self, columns: list[list[float]]) -> list[list[float]]:
+        """``G^-1 b`` for each right-hand side ``b`` in ``columns`` (square ``G``)."""
+        out = []
+        for column in columns:
+            ints, exponent = _integers(column)
+            shift = exponent - self.exponent
+            out.append([_quotient(_dot(row, ints), self.det, shift) for row in self.adjugate])
+        return out
+
+    def solve_bordered(self, column: list[float], rhs: list[float]) -> list[float] | None:
+        """The solution ``(t, y)`` of ``t * column + G y = rhs`` (k+1 rows).
+
+        The bordered matrix is singular exactly when ``null @ column`` is 0,
+        and then None is returned.  Otherwise t is ``null @ rhs / null @
+        column`` and ``y`` is the block's inverse applied to ``rhs - t *
+        column``, each scaled to integers so that one division rounds each
+        component.
+        """
+        c, c_exp = _integers(column)
+        b, b_exp = _integers(rhs)
+        t_den = _dot(self.null, c)
+        if not t_den:
+            return None
+        t_num = _dot(self.null, b)
+        reduced = [b[i] * t_den - c[i] * t_num for i in self.block]
+        den = self.det * t_den
+        shift = b_exp - self.exponent
+        return [_quotient(t_num, t_den, b_exp - c_exp)] + [
+            _quotient(_dot(row, reduced), den, shift) for row in self.adjugate
+        ]
+
+
+def exact_factor(a) -> ExactFactor | None:
+    """The :class:`ExactFactor` of a k x k or (k+1) x k matrix, None if its rank is below k.
+
+    The block leaves out the last row it can (none for a square matrix), so
+    a generic matrix needs one Bareiss pass.
+    """
+    arr = _as_matrix(a)
+    count, k = arr.shape
+    if count not in (k, k + 1):
+        raise ValueError(f"need k or k+1 rows for k columns, got shape {arr.shape}")
+    ints, exponent = _integers(arr.ravel().tolist())
+    rows = [ints[i : i + k] for i in range(0, len(ints), k)]
+    unit = [[int(i == j) for j in range(k)] for i in range(k)]
+    for drop in reversed(range(count)) if count > k else (count,):
+        block = tuple(i for i in range(count) if i != drop)
+        try:
+            det, inverse = _bareiss([rows[i] + e for i, e in zip(block, unit)], k, 2 * k)
+        except RankDeficient:
+            continue
+        null = []
+        if count > k:
+            # null @ G = 0: the dropped row weighs det, the block rows -row @ adjugate.
+            null = [det] * count
+            for i, column in zip(block, inverse):
+                null[i] = -_dot(rows[drop], column)
+        return ExactFactor(exponent, block, det, tuple(zip(*inverse)), tuple(null))
+    return None
 
 
 #: Veltkamp's splitting constant 2**27 + 1 for binary64.

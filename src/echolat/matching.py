@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotSpanning, NumericError, RankDeficient, ValidationError
-from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _spurious, event_arrivals, solve
+from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _spurious, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
@@ -80,15 +80,22 @@ class ReceptionTable:
     def from_events(cls, sensors, events, *, dropout=(), spurious=()) -> "ReceptionTable":
         """What a :class:`SensorArray` receives from :class:`EmissionEvent` objects.
 
-        Every event reaches every sensor at :func:`event_arrivals`.
-        ``dropout`` holds (event_index, sensor_index) pairs whose arrival is
-        left out, and ``spurious`` holds (sensor_index, time) entries added
-        as given.  An index that is not an integer, or is out of range,
-        raises :class:`ValidationError`.
+        Every event reaches every sensor at :func:`event_arrivals`, computed
+        for all events at once.  ``dropout`` holds (event_index,
+        sensor_index) pairs whose arrival is left out, and ``spurious`` holds
+        (sensor_index, time) entries added as given.  An index that is not an integer, or is out of range,
+        raises :class:`ValidationError`, and so does an event whose dimension
+        is not the sensors'.
         """
         events = tuple(events)
-        m = sensors.count
-        arrivals = np.array([event_arrivals(sensors, ev) for ev in events]).reshape(len(events), m)
+        m, n = sensors.positions.shape
+        for ev in events:
+            if ev.dim != n:
+                raise ValidationError(f"event has dimension {ev.dim}, sensors have {n}")
+        times = np.array([ev.time for ev in events])
+        points = np.array([ev.position for ev in events]).reshape(len(events), n)
+        gaps = sensors.positions[None] - points[:, None]
+        arrivals = times[:, None] + np.sqrt((gaps * gaps).sum(axis=2))
         keep = np.ones(arrivals.shape, dtype=bool)
         for event_index, sensor_index in dropout:
             event_index = _index(event_index, len(events), "dropout event")
@@ -270,10 +277,16 @@ def _dedup_events(
 
     found.sort(key=key)
     reps: list[DetectedEvent] = []
+    # Representatives before ``start`` are more than time_eps earlier than the
+    # current event, so no later event can match them: times only grow.
+    start = 0
     for ev in found:
-        for i, rep in enumerate(reps):
+        while start < len(reps) and ev.event_time - reps[start].event_time > time_eps:
+            start += 1
+        for i in range(start, len(reps)):
+            rep = reps[i]
             if (
-                abs(ev.event_time - rep.event_time) <= time_eps
+                ev.event_time - rep.event_time <= time_eps
                 and np.max(np.abs(ev.position - rep.position)) <= pos_eps
             ):
                 if ev.residual < rep.residual:

@@ -8,7 +8,8 @@ sensor/time dataset.  :func:`survivor_blocks` is the matcher's original
 element-by-element window walk, kept as the reference for the vectorised
 walk in :mod:`echolat.matching`, and :func:`prediction_screen` is the
 reference for its prediction screen, one prefix and one :func:`echolat.solve`
-at a time.
+at a time.  :func:`dedup_events` is the matcher's original quadratic
+dedup loop, the reference for its windowed one.
 """
 
 from __future__ import annotations
@@ -229,3 +230,29 @@ def prediction_screen(sensors, table, threshold: float = 1e-6):
             row[held] = last[j]
             out.append((tuple(row.tolist()), j in near))
     return held, out
+
+
+def dedup_events(found, time_eps: float, pos_eps: float) -> list:
+    """The matcher's event dedup, every event against every representative.
+
+    Events are taken in (time, position) order.  Each joins the first
+    representative within ``time_eps`` in time and ``pos_eps`` in every
+    coordinate, replacing it when its residual is smaller, or else becomes
+    a representative itself.  Returns the representatives in the same order.
+    """
+    def key(ev):
+        return (ev.event_time, tuple(ev.position))
+
+    reps = []
+    for ev in sorted(found, key=key):
+        for i, rep in enumerate(reps):
+            if (
+                abs(ev.event_time - rep.event_time) <= time_eps
+                and np.max(np.abs(ev.position - rep.position)) <= pos_eps
+            ):
+                if ev.residual < rep.residual:
+                    reps[i] = ev
+                break
+        else:
+            reps.append(ev)
+    return sorted(reps, key=key)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
-from echolat import acoustics, matching
+from echolat import acoustics, linalg, matching
 from oracles import prediction_screen, survivor_rows
 
 
@@ -188,6 +188,17 @@ def test_simulate_rejects_fractional_indices():
         room, sensors, dropout=[(np.int64(0), np.int32(0))], spurious=[(np.int64(1), 3.0)]
     )
     assert table.sizes() == (5, 7, 6, 6, 6)
+
+
+def test_one_match_factors_the_layout_once(monkeypatch):
+    room, sensors = shoebox()
+    builds, solves = [], []
+    build, solve = linalg.exact_factor, matching.solve
+    monkeypatch.setattr(linalg, "exact_factor", lambda a: builds.append(a) or build(a))
+    monkeypatch.setattr(matching, "solve", lambda *args, **kw: solves.append(args) or solve(*args, **kw))
+    report = el.match_events(sensors, el.simulate_echoes(room, sensors, include_direct=True))
+    assert len(report.events) == len(solves) == 7
+    assert len(builds) == 1
 
 
 def test_detect_walls_shoebox():

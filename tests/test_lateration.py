@@ -7,8 +7,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import echolat as el
+from echolat import lateration, linalg
 from conftest import (
     AMBIGUOUS_2D,
     AMBIGUOUS_3D,
@@ -22,7 +25,7 @@ from conftest import (
     random_sensors,
     sensor_array,
 )
-from oracles import frac_det, reduced_quadratic, reduced_time_line
+from oracles import frac_det, frac_solve, reduced_quadratic, reduced_time_line
 
 
 def test_sensor_array_validation():
@@ -322,6 +325,49 @@ def test_far_offset_spanning_sensors_are_solved(seed, count):
         for c in result.candidates
     )
     assert err <= 100 * offset**2 * np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([1, 2]), st.floats(0.0, 1e6), st.integers(0, 2**32 - 1))
+def test_square_solves_are_the_correctly_rounded_exact_solution(n, extra, offset, seed):
+    # n+2 sensors: the bordered system of the full-rank path; n+1 sensors:
+    # G against 2 t and against ||a||^2 - t^2, as on the quadratic path.
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.uniform(-1.0, 1.0, n)
+    sensors = el.SensorArray(rng.uniform(-1.0, 1.0, (n + extra, n)) + shift)
+    event = el.EmissionEvent(rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0, n) + shift)
+    times = el.event_arrivals(sensors, event) + rng.choice([0.0, 1e-3]) * rng.standard_normal(n + extra)
+    amat = el.measurement_matrix(sensors, times)
+    rhs = lateration._rhs(sensors, times)
+    if extra == 2:
+        systems = [(amat, rhs)]
+        got = [sensors._factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())]
+        result = el.solve(sensors, times)
+        if result.path is el.SolvePath.FULL_RANK:
+            event = result.candidates[0].event
+            assert [event.time, *event.position.tolist()] == got[0][: n + 1]
+    else:
+        systems = [(amat[:, 1:], 2.0 * times), (amat[:, 1:], rhs)]
+        got = sensors._factor.solve([b.tolist() for _, b in systems])
+    for x, (a, b) in zip(got, systems):
+        assert x == [float(e) for e in frac_solve(a.tolist(), b.tolist())]
+        assert x == linalg.least_squares_solve(a, b).tolist()
+
+
+def test_exactly_singular_systems_raise_as_before(monkeypatch):
+    # numeric_rank is told the systems have full rank.  Equal times make
+    # the time column a multiple of G's last one, so the factor's bordered
+    # system is singular; collinear sensors leave no invertible block.
+    monkeypatch.setattr(linalg, "numeric_rank", lambda a, rel_tol=1e-8: a.shape[1])
+    sensors = el.SensorArray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                              [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(el.RankDeficient, match=r"^matrix is singular: column 4 has no pivot$"):
+        el.solve(sensors, [2.0] * 5)
+    assert sensors._factor is not None
+    collinear = el.SensorArray([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(el.RankDeficient, match=r"^matrix is singular: column 2 has no pivot$"):
+        el.solve(collinear, [1.0, 2.0, 3.5, 4.0])
+    assert collinear._factor is None
 
 
 def test_event_arrivals_forward_model():

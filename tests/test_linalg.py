@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import echolat as el
-from echolat.linalg import fsum_dot, hadamard_ratio
+from echolat.linalg import exact_factor, fsum_dot, hadamard_ratio
 from oracles import frac_matrix, frac_solve
 
 # exactly zero or of sane magnitude; subnormal coefficients overflow any
@@ -116,6 +116,23 @@ def test_least_squares_with_known_rank():
     near = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]])
     assert el.numeric_rank(near) == 1
     assert el.least_squares_solve(near, [2.0, 2.0 + 2.0**-40]).tolist() == [1.0, 1.0]
+
+
+def test_exact_factor_shapes_rank_and_null_vector():
+    with pytest.raises(ValueError):
+        exact_factor(np.ones((3, 1)))
+    assert exact_factor([[1.0, 2.0], [2.0, 4.0]]) is None
+    # every 2-row block is singular, so no block can be factored
+    assert exact_factor([[1.0, 2.0], [2.0, 4.0], [-3.0, -6.0]]) is None
+    # the first two rows are dependent, so the block cannot drop the last row
+    g = [[1.0, 3.0], [2.0, 6.0], [2.0, 1.0]]
+    factor = exact_factor(g)
+    assert factor.block == (0, 2)
+    assert [sum(F(w) * F(row[j]) for w, row in zip(factor.null, g)) for j in range(2)] == [0, 0]
+    assert factor.solve_bordered([1.0, 2.0, 5.0], [1.0, 2.0, 3.0]) is None  # null @ column == 0
+    x = factor.solve_bordered([1.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+    a = [[c] + row for c, row in zip([1.0, 0.0, 0.0], g)]
+    assert x == el.least_squares_solve(a, [1.0, 2.0, 3.0]).tolist()
 
 
 @given(st.lists(coeff, min_size=1, max_size=6), coeff)

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
-from echolat import acoustics, lateration, matching
+from echolat import acoustics, lateration, linalg, matching
 from echolat.cli import main
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
-from oracles import prediction_screen, survivor_blocks
+from oracles import dedup_events, prediction_screen, survivor_blocks
 
 
 def _scene(seed: int, n_events: int = 3, span: float = 30.0):
@@ -468,6 +468,77 @@ def test_table_from_events():
     for bad in ([(5, 1.0)], [(np.float64(2.0), 1.0)]):
         with pytest.raises(el.ValidationError):
             el.ReceptionTable.from_events(sensors, events, spurious=bad)
+
+
+def test_table_from_events_is_the_per_event_forward_model():
+    rng = np.random.default_rng(40)
+    for _ in range(50):
+        n = int(rng.integers(2, 4))
+        sensors = random_sensors(rng, n + 2, n, box=10.0 ** rng.uniform(-3.0, 3.0))
+        events = [el.EmissionEvent(rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0, n))
+                  for _ in range(int(rng.integers(0, 9)))]
+        dropout = [(int(rng.integers(len(events))), int(rng.integers(n + 2)))
+                   for _ in range(3 if events else 0)]
+        spurious = [(int(rng.integers(n + 2)), rng.uniform(-5.0, 5.0)) for _ in range(3)]
+        keep = np.ones((len(events), n + 2), dtype=bool)
+        for event_index, sensor_index in dropout:
+            keep[event_index, sensor_index] = False
+        arrivals = np.array([el.event_arrivals(sensors, ev) for ev in events]).reshape(keep.shape)
+        want = el.ReceptionTable(tuple(
+            np.concatenate((arrivals[keep[:, i], i], [t for j, t in spurious if j == i]))
+            for i in range(n + 2)
+        ))
+        got = el.ReceptionTable.from_events(sensors, events, dropout=dropout, spurious=spurious)
+        assert [arr.tobytes() for arr in got.times] == [arr.tobytes() for arr in want.times]
+    with pytest.raises(el.ValidationError, match="event has dimension 2, sensors have 3"):
+        el.ReceptionTable.from_events(random_sensors(rng, 5, 3), [el.EmissionEvent(0.0, [0.0, 0.0])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dedup_matches_the_reference_loop(seed):
+    # Clusters a few time_eps apart, with offsets on the tolerance and tied
+    # times, positions and residuals, so that windows overlap, chain and
+    # replace their representatives.
+    rng = np.random.default_rng(seed)
+    eps = 1e-6
+    found = []
+    for _ in range(int(rng.integers(0, 10))):
+        time, point = rng.uniform(0.0, 8.0) * eps, rng.uniform(-1.0, 1.0, 3)
+        for _ in range(int(rng.integers(1, 6))):
+            dt = rng.choice([0.0, eps, -eps, rng.uniform(-2.0, 2.0) * eps])
+            dx = rng.choice([0.0, 2.0 * eps, rng.uniform(-4.0, 4.0) * eps], size=3)
+            residual = rng.choice([0.0, 1e-12, rng.uniform()])
+            found.append(el.DetectedEvent(time + dt, point + dx, (), residual,
+                                          el.SolvePath.FULL_RANK, False))
+    want = dedup_events(found, eps, 2.0 * eps)
+    got = matching._dedup_events(list(found), eps, 2.0 * eps)
+    assert [id(ev) for ev in got] == [id(ev) for ev in want]
+
+
+def test_dense_scene_events_match_least_squares_solves(monkeypatch):
+    # Every accepted row is solved through the layout's cached factor; with
+    # no factor, solve falls back to least_squares_solve row by row.
+    rng = np.random.default_rng(2207)
+    while True:
+        sensors = random_sensors(rng, 5, 3)
+        geometry = el.check_geometry(sensors)
+        if geometry.noncoplanar and geometry.condition_ok:
+            break
+    events = [el.EmissionEvent(t, rng.uniform(-1.0, 1.0, 3)) for t in rng.uniform(0.0, 20.0, 60)]
+    table = el.ReceptionTable.from_events(sensors, events)
+    config = el.MatchConfig(budget=table.product_size())
+    report = el.match_events(sensors, table, config)
+    assert sensors._factor is not None
+    monkeypatch.setattr(linalg, "exact_factor", lambda a: None)
+    reference = el.match_events(el.SensorArray(sensors.positions), table, config)
+
+    def digits(rep):
+        return [(ev.event_time.hex(), [x.hex() for x in ev.position.tolist()], ev.source_times,
+                 ev.residual.hex(), ev.path, ev.ambiguous) for ev in rep.events]
+
+    assert len(report.events) >= 60
+    assert digits(report) == digits(reference)
 
 
 def test_empty_reception_list_means_no_events():
