@@ -3,8 +3,10 @@
 :func:`solve` recovers one emission event from one reception time per
 sensor; :func:`check_geometry` diagnoses whether a sensor layout makes that
 event unique.  Only the time column of the linearised system depends on the
-times, so a :class:`SensorArray` factors its geometry block exactly once
-(:func:`linalg.exact_factor`) and every square solve on it reuses that.
+times, so a caller that solves one layout many times (the matcher) has its
+:class:`SensorArray` factor the geometry block once
+(:func:`linalg.exact_factor`), and every later square solve on it reuses
+that factor.
 """
 
 from __future__ import annotations
@@ -90,12 +92,19 @@ class SensorArray:
 
     @cached_property
     def _factor(self) -> linalg.ExactFactor | None:
-        """The exact factorisation of G = (2 a_i, -1) that :func:`solve` shares.
+        """The exact factorisation of G = (2 a_i, -1) for square solves.
 
-        Built on the first square solve (n+1 or n+2 sensors) and kept on the
-        instance; None when no n+1 of the sensors give an invertible block.
+        Built on first access and kept on the instance; None when no n+1 of
+        the sensors give an invertible block.  Building it costs about one
+        solve, so only a caller that solves this layout many times reads it;
+        :func:`solve` uses it once it exists (:func:`_built_factor`).
         """
         return linalg.exact_factor(_linearise(self, np.zeros(self.count))[:, 1:])
+
+
+def _built_factor(sensors: SensorArray) -> linalg.ExactFactor | None:
+    """``sensors._factor`` if some caller has built it, else None (no build)."""
+    return sensors.__dict__.get("_factor")  # where cached_property stores it
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,14 +253,15 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     Every linear solve is exact and rounded once per component, and each
     quadratic coefficient is rounded once from (u, alpha) and (v, beta)
     (:func:`linalg.fsum_dot`), so no printed digit depends on the BLAS
-    library.  The square systems (n+2 sensors on the full-rank path, n+1 on
-    the quadratic path) use the layout's one exact factorisation of ``G``,
-    built on the first such solve and kept on ``sensors``: the emission time
-    is ``gamma.b / gamma.c`` for the left null vector ``gamma`` of ``G``, and
-    the rest comes from the adjugate of an invertible block.  Tall systems,
-    a layout with no invertible block and an exactly singular system go to
+    library.  When ``sensors`` already holds its exact factorisation of
+    ``G`` (the matcher builds it once per layout), the square systems (n+2
+    sensors on the full-rank path, n+1 on the quadratic path) use it: the
+    emission time is ``gamma.b / gamma.c`` for the left null vector
+    ``gamma`` of ``G``, and the rest comes from the adjugate of an
+    invertible block.  A lone solve does not build it.  Every other system
+    (no factor, tall, no invertible block, exactly singular) goes to
     :func:`linalg.least_squares_solve`, which raises :class:`RankDeficient`
-    for an exactly singular one.
+    for an exactly singular one.  Both give the same digits.
     """
     t = _as_times(times, sensors.count)
     m, n = sensors.positions.shape
@@ -260,11 +270,12 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     amat = _linearise(sensors, t)
     rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
     diameter = sensors.diameter()
+    factor = _built_factor(sensors)
     if rank == n + 2:
         rhs = _rhs(sensors, t)
         solution = None
-        if m == n + 2 and sensors._factor is not None:
-            solution = sensors._factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
+        if m == n + 2 and factor is not None:
+            solution = factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
         if solution is None:
             solution = linalg.least_squares_solve(amat, rhs)
         event = EmissionEvent(solution[0], solution[1 : n + 1])
@@ -274,8 +285,8 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     if not sensors.spans_space(rank_tol):
         raise NotSpanning("sensors do not affinely span the ambient space")
     columns = (2.0 * t, _rhs(sensors, t))
-    if m == n + 1 and sensors._factor is not None:
-        t_part, const_part = sensors._factor.solve([col.tolist() for col in columns])
+    if m == n + 1 and factor is not None:
+        t_part, const_part = factor.solve([col.tolist() for col in columns])
     else:
         rhs = np.array(columns).T
         t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
@@ -308,12 +319,20 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
 
 def event_arrivals(sensors: SensorArray, event: EmissionEvent) -> np.ndarray:
     """Forward model: reception time of ``event`` at every sensor."""
-    if event.dim != sensors.dim:
-        raise ValidationError(
-            f"event has dimension {event.dim}, sensors have {sensors.dim}"
-        )
-    gaps = sensors.positions - event.position
-    return event.time + np.sqrt((gaps * gaps).sum(axis=1))
+    return _arrivals(sensors, [event])[0]
+
+
+def _arrivals(sensors: SensorArray, events) -> np.ndarray:
+    """(E, m) reception times of E events at the m sensors, in one broadcast."""
+    for event in events:
+        if event.dim != sensors.dim:
+            raise ValidationError(
+                f"event has dimension {event.dim}, sensors have {sensors.dim}"
+            )
+    times = np.array([event.time for event in events])
+    points = np.array([event.position for event in events]).reshape(len(times), sensors.dim)
+    gaps = sensors.positions[None] - points[:, None]
+    return times[:, None] + np.sqrt((gaps * gaps).sum(axis=2))
 
 
 def _affine_rank(points: np.ndarray, rank_tol: float) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotSpanning, NumericError, RankDeficient, ValidationError
-from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _spurious, solve
+from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _arrivals, _spurious, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
@@ -83,19 +83,13 @@ class ReceptionTable:
         Every event reaches every sensor at :func:`event_arrivals`, computed
         for all events at once.  ``dropout`` holds (event_index,
         sensor_index) pairs whose arrival is left out, and ``spurious`` holds
-        (sensor_index, time) entries added as given.  An index that is not an integer, or is out of range,
-        raises :class:`ValidationError`, and so does an event whose dimension
-        is not the sensors'.
+        (sensor_index, time) entries added as given.  An index that is not
+        an integer, or is out of range, raises :class:`ValidationError`, and
+        so does an event whose dimension is not the sensors'.
         """
         events = tuple(events)
-        m, n = sensors.positions.shape
-        for ev in events:
-            if ev.dim != n:
-                raise ValidationError(f"event has dimension {ev.dim}, sensors have {n}")
-        times = np.array([ev.time for ev in events])
-        points = np.array([ev.position for ev in events]).reshape(len(events), n)
-        gaps = sensors.positions[None] - points[:, None]
-        arrivals = times[:, None] + np.sqrt((gaps * gaps).sum(axis=2))
+        m = sensors.count
+        arrivals = _arrivals(sensors, events)
         keep = np.ones(arrivals.shape, dtype=bool)
         for event_index, sensor_index in dropout:
             event_index = _index(event_index, len(events), "dropout event")
@@ -484,6 +478,10 @@ def match_events(
         hits = residuals <= config.residual_threshold
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
+        if hits.any():
+            # Factor the layout once (kept on ``sensors``): every accepted row
+            # is solved on it, so ``solve`` reuses the factor.
+            _ = sensors._factor
         for row, residual in zip(rows[hits], residuals[hits].tolist()):
             source = tuple(row.tolist())
             accepted.append((source, residual))

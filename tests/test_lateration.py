@@ -342,9 +342,8 @@ def test_square_solves_are_the_correctly_rounded_exact_solution(n, extra, offset
     if extra == 2:
         systems = [(amat, rhs)]
         got = [sensors._factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())]
-        result = el.solve(sensors, times)
-        if result.path is el.SolvePath.FULL_RANK:
-            event = result.candidates[0].event
+        if linalg.numeric_rank(amat) == n + 2:  # solve takes the full-rank path
+            event = el.solve(sensors, times).candidates[0].event
             assert [event.time, *event.position.tolist()] == got[0][: n + 1]
     else:
         systems = [(amat[:, 1:], 2.0 * times), (amat[:, 1:], rhs)]
@@ -361,13 +360,37 @@ def test_exactly_singular_systems_raise_as_before(monkeypatch):
     monkeypatch.setattr(linalg, "numeric_rank", lambda a, rel_tol=1e-8: a.shape[1])
     sensors = el.SensorArray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                               [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    assert sensors._factor is not None
     with pytest.raises(el.RankDeficient, match=r"^matrix is singular: column 4 has no pivot$"):
         el.solve(sensors, [2.0] * 5)
-    assert sensors._factor is not None
     collinear = el.SensorArray([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    assert collinear._factor is None
     with pytest.raises(el.RankDeficient, match=r"^matrix is singular: column 2 has no pivot$"):
         el.solve(collinear, [1.0, 2.0, 3.5, 4.0])
-    assert collinear._factor is None
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_solve_uses_the_factor_only_once_a_caller_built_it(monkeypatch, count):
+    # A lone solve on a fresh layout pays no factor build; once the layout
+    # is factored, its square solves no longer reach least_squares_solve.
+    builds, lstsq = [], []
+    build, least_squares = linalg.exact_factor, linalg.least_squares_solve
+    monkeypatch.setattr(linalg, "exact_factor", lambda a: builds.append(a) or build(a))
+    monkeypatch.setattr(linalg, "least_squares_solve",
+                        lambda a, b: lstsq.append(a) or least_squares(a, b))
+    sensors = el.SensorArray([[0.0, 0.0], [1.0, 0.2], [0.1, 1.0], [0.9, 1.1]][:count])
+    times = el.event_arrivals(sensors, el.EmissionEvent(0.25, [0.4, 0.3]))
+    first = el.solve(sensors, times)
+    assert (len(builds), len(lstsq)) == (0, 1)
+    assert sensors._factor is not None
+    second = el.solve(sensors, times)
+    assert (len(builds), len(lstsq)) == (1, 1)
+
+    def digits(result):
+        return result.path, [(c.event.time, c.event.position.tolist(), c.spurious)
+                             for c in result.candidates]
+
+    assert digits(first) == digits(second)
 
 
 def test_event_arrivals_forward_model():
