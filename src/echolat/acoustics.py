@@ -14,9 +14,8 @@ different walls masquerades as a single consistent event — i.e. when the
 detector finds every wall and nothing else.  :func:`goodness_check` probes
 this empirically by perturbing the sensors and watching for ghost walls and
 for collapsing relation residuals on the mixed tuples the matcher picks.
-Those tuples are read from the matcher's own report, so each simulated
-table is walked once; the margin screens only the tuples the matcher
-left unconfirmed.
+The matcher screens those tuples itself and reports the residuals the
+margin needs, so each simulated table is walked and screened once.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import DegenerateMirror, DimensionMismatch, ValidationError
 from .lateration import EmissionEvent, SensorArray, event_arrivals
 from .linalg import fsum_dot
 from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, match_events
-from .relations import batched_relation_residuals
 
 #: Components of a unit normal smaller than this are treated as zero when
 #: choosing the canonical orientation, so that tiny numerical noise cannot
@@ -227,18 +225,21 @@ def detect_walls(
     table: ReceptionTable,
     source,
     config: MatchConfig = MatchConfig(),
+    *,
+    _screen_all: bool = False,
 ) -> WallDetection:
     """Recover walls from unlabelled reception times and a known source.
 
     Matches the table to events, treats every event further than 1e-9 from
     the source as a mirror point and converts it to a wall; events at the
     source are reported as the direct sound.  Walls closer than internal
-    tolerances are merged.
+    tolerances are merged.  ``_screen_all`` is passed to
+    :func:`match_events`.
     """
     src = np.asarray(source, dtype=float).reshape(-1)
     if src.shape[0] != sensors.dim:
         raise DimensionMismatch(f"source has dimension {src.shape[0]}, sensors {sensors.dim}")
-    report = match_events(sensors, table, config)
+    report = match_events(sensors, table, config, _screen_all=_screen_all)
     direct: list[DetectedEvent] = []
     mirrors: list[DetectedEvent] = []
     walls: list[Wall] = []
@@ -270,10 +271,10 @@ class GoodnessReport:
     virtual sources) whose held-out arrival a prediction of
     :func:`match_events` picks; a healthy layout keeps it far above the
     acceptance threshold, while a degenerate one lets it collapse toward
-    zero.  It comes from each :class:`MatchReport`: the smallest rejected
-    residual, the residuals of the accepted mixed tuples and those of the
-    ``unconfirmed`` tuples, computed here.  A margin above the threshold
-    means that no mixed tuple was accepted.  The converse does not hold: a
+    zero.  It comes from each :class:`MatchReport` of a match that screens
+    every picked tuple: the smallest rejected residual and the residuals of
+    the accepted mixed tuples.  A margin above the threshold means that no
+    mixed tuple was accepted.  The converse does not hold: a
     mixed tuple with a small residual is not accepted when it is not
     within tau of a prediction, and a genuine tuple the screen rejects (at
     a threshold below the genuine residuals, about 1e-15 on the shoebox)
@@ -325,7 +326,7 @@ def goodness_check(
     margins = []
     for layout in layouts:
         table = simulate_echoes(room, layout, include_direct=include_direct)
-        detection = detect_walls(layout, table, room.loudspeaker, config)
+        detection = detect_walls(layout, table, room.loudspeaker, config, _screen_all=True)
         for wall in detection.walls:
             if not any(same_plane(wall, true, normal_tol, offset_tol) for true in room.walls):
                 ghosts += 1
@@ -344,18 +345,15 @@ def goodness_check(
 def _mixed_margin(report: MatchReport, sensors: SensorArray, emitters: list) -> float | None:
     """Smallest relation residual over the mixed tuples a match picked.
 
-    The minimum of ``report``'s smallest rejected residual, the residuals
-    of the accepted tuples that are not genuine, where a genuine tuple
-    equals one emitter's :func:`event_arrivals` exactly, and the residuals
-    of its ``unconfirmed`` tuples, screened here in one batch.  None when
-    the match rejected nothing, left nothing unconfirmed and accepted only
-    genuine tuples.
+    ``report`` comes from :func:`match_events` with ``_screen_all`` set, so
+    its ``rejected_floor`` covers every picked tuple it did not accept.
+    The margin is the minimum of that floor and the residuals of the
+    accepted tuples that are not genuine, where a genuine tuple equals one
+    emitter's :func:`event_arrivals` exactly.  None when the match rejected
+    nothing and accepted only genuine tuples.
     """
     genuine = {tuple(event_arrivals(sensors, ev).tolist()) for ev in emitters}
     lows = [residual for source, residual in report.accepted if source not in genuine]
     if report.rejected_floor is not None:
         lows.append(report.rejected_floor)
-    if len(report.unconfirmed):
-        dist = sensors.pairwise_distances()
-        lows.append(float(batched_relation_residuals(report.unconfirmed, dist * dist).min()))
     return min(lows, default=None)

@@ -13,8 +13,11 @@ The walk runs over n+1 of the sensors.  Each of their surviving tuples (a
 prefix) determines its event in closed form, the reduced quadratic of
 :func:`solve`, and so predicts the arrival at the held-out sensor.  Only
 the held-out arrivals near a prediction are confirmed by relation residual
-and multilaterated; the deduplicated events are reported, and the nearest
-arrival of each prediction with none near goes out unconfirmed.  The walk
+and multilaterated, and the deduplicated events are reported.  Tuples are
+screened here and nowhere else: the goodness margin of
+:func:`echolat.acoustics.goodness_check` asks the sweep to screen the
+nearest arrival of each prediction with none near as well, and reads the
+smallest of those residuals from ``rejected_floor``.  The walk
 finds the windows of a whole block of prefixes with one ``searchsorted``
 per side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows,
 each walked to the last sensor before the next is built, so prefixes come
@@ -134,8 +137,8 @@ class MatchConfig:
     contribute both (flagged); otherwise they are dropped and counted.
     ``budget`` caps the product of the reception-list sizes, and
     ``rank_tol`` is passed to :func:`solve`.  A threshold that is negative
-    or not finite, a ``rank_tol`` outside (0, 1) or a negative budget
-    raises :class:`ValidationError`.
+    or not finite, a ``rank_tol`` outside (0, 1) or a budget that is
+    negative or NaN raises :class:`ValidationError`.
     """
 
     residual_threshold: float = 1e-6
@@ -150,7 +153,7 @@ class MatchConfig:
             )
         if not 0.0 < self.rank_tol < 1.0:
             raise ValidationError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
-        if self.budget < 0:
+        if not self.budget >= 0:
             raise ValidationError(f"budget must be >= 0, got {self.budget}")
 
 
@@ -183,18 +186,14 @@ class MatchReport:
     reason) pairs.  Events are sorted by (time, lexicographic position).
 
     The screen itself is reported too.  Of the evaluated tuples only those
-    a prefix's prediction picks are screened (see :func:`match_events`).
-    The near ones, within tau of a prediction, are confirmed by relation
-    residual.  ``accepted`` holds every near tuple whose residual is at
-    most the threshold, as (source_times, residual) pairs in walk order,
-    including those later skipped or dropped as ambiguous;
+    a prefix's prediction picks are screened by relation residual (see
+    :func:`match_events`), and only the near ones, within tau of a
+    prediction, can be accepted.  ``accepted`` holds every near tuple whose
+    residual is at most the threshold, as (source_times, residual) pairs in
+    walk order, including those later skipped or dropped as ambiguous;
     ``accepted_tuples`` is its length.  ``rejected_floor`` is the smallest
-    residual of a near tuple that was not accepted, None when every near
-    tuple was accepted.  ``unconfirmed`` holds the other picked tuples,
-    the nearest window arrival of each prediction with none near, as a
-    read-only (k, m) array in walk order; they cannot be accepted, so no
-    residual is computed for them.  It holds about one row per prefix, so
-    unlike the walk's pieces it grows with the scene.
+    residual of a screened tuple that was not accepted, None when every
+    screened tuple was accepted.
     """
 
     events: tuple[DetectedEvent, ...]
@@ -207,7 +206,6 @@ class MatchReport:
     dropped_ambiguous: int
     accepted: tuple[tuple[tuple[float, ...], float], ...]
     rejected_floor: float | None
-    unconfirmed: np.ndarray
 
 
 def _default_slack(sensors: SensorArray, table: ReceptionTable) -> float:
@@ -396,6 +394,8 @@ def match_events(
     sensors: SensorArray,
     table: ReceptionTable,
     config: MatchConfig = MatchConfig(),
+    *,
+    _screen_all: bool = False,
 ) -> MatchReport:
     """Sweep a reception table and recover the emission events behind it.
 
@@ -404,17 +404,19 @@ def match_events(
     and the window walk runs over the other n+1, whose tuples are the
     prefixes.  Each prefix's reduced quadratic, the n+1-sensor closed form
     of :func:`solve`, predicts the held-out arrival of every non-spurious
-    root; the held-out arrivals within tau of a prediction are screened,
-    or, if there are none, the one arrival nearest it in the prefix's
-    window.  tau is 1e-2 max(``config.residual_threshold``, 1e-6)
+    root; the prediction picks the held-out arrivals within tau of it or,
+    if there are none, the one arrival nearest it in the prefix's window.
+    tau is 1e-2 max(``config.residual_threshold``, 1e-6)
     (diameter + span), 1e-8 (diameter + span) at the default threshold, so
     timing noise of more than about 1e-9 of that scale needs a higher
     threshold.  A prefix whose root is too ill-conditioned to predict from
     (a near-linear, nearly flat or near-double quadratic, see
-    :func:`_predict`) screens its whole window.  Only the tuples within
-    tau (or from a fragile prefix) are confirmed: one is accepted when its
-    relation residual is at most ``config.residual_threshold``.  The
-    nearest-arrival tuples are reported unconfirmed.
+    :func:`_predict`) picks its whole window, all within tau.  The picked
+    tuples within tau are screened: one is accepted when its relation
+    residual is at most ``config.residual_threshold``.  The nearest-arrival
+    tuples cannot be accepted, so they are screened only with
+    ``_screen_all`` set, as :func:`echolat.acoustics.goodness_check` does
+    for its margin; their residuals then count towards ``rejected_floor``.
 
     Each accepted tuple is multilaterated and its non-spurious candidates
     become detected events.  Ambiguous tuples (two viable candidates)
@@ -455,7 +457,6 @@ def match_events(
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted: list[tuple[tuple[float, ...], float]] = []
     floors: list[float] = []
-    unconfirmed = [np.empty((0, m))]
     evaluated = 0
     dropped_ambiguous = 0
 
@@ -470,12 +471,12 @@ def match_events(
         rows = np.empty((which.size, m))
         rows[:, keep] = prefixes[which]
         rows[:, held] = arrivals[index]
-        unconfirmed.append(rows[~near])
-        rows = rows[near]
+        if not _screen_all:
+            rows, near = rows[near], near[near]
         if not rows.size:
             continue
         residuals = batched_relation_residuals(rows, dist2)
-        hits = residuals <= config.residual_threshold
+        hits = near & (residuals <= config.residual_threshold)
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
         if hits.any():
@@ -508,8 +509,6 @@ def match_events(
                 )
 
     events = _dedup_events(found, _DEDUP_EPS, _DEDUP_EPS * sensors.diameter())
-    lone = np.concatenate(unconfirmed)
-    lone.setflags(write=False)
     return MatchReport(
         events=tuple(events),
         candidate_tuples=product,
@@ -521,5 +520,4 @@ def match_events(
         dropped_ambiguous=dropped_ambiguous,
         accepted=tuple(accepted),
         rejected_floor=min(floors, default=None),
-        unconfirmed=lone,
     )

@@ -380,7 +380,7 @@ def test_mixed_margin_is_the_reference_walks_mixed_minimum(monkeypatch, include_
     want = float(min(res for row, res in zip(rows, residuals) if row not in genuine))
     if chunk_rows is not None:
         monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
-    report = el.match_events(sensors, table)
+    report = el.match_events(sensors, table, _screen_all=True)
     assert acoustics._mixed_margin(report, sensors, emitters) == want
 
 
@@ -397,7 +397,7 @@ def test_mixed_margin_above_threshold_means_no_mixed_event():
     above = 0
     for sensors in layouts:
         table = el.simulate_echoes(room, sensors, include_direct=True)
-        report = el.match_events(sensors, table)
+        report = el.match_events(sensors, table, _screen_all=True)
         margin = acoustics._mixed_margin(report, sensors, emitters)
         if margin is None or margin <= threshold:
             continue
@@ -432,7 +432,8 @@ def test_mixed_margin_at_a_zero_threshold_counts_the_rejected_genuine_tuples():
     mixed_low = min(value for row, value in residuals.items() if row not in genuine)
     assert 0.0 < genuine_low < mixed_low
 
-    report = el.match_events(sensors, table, el.MatchConfig(residual_threshold=0.0))
+    report = el.match_events(sensors, table, el.MatchConfig(residual_threshold=0.0),
+                             _screen_all=True)
     assert report.accepted == ()  # no mixed tuple accepted, and the margin is above 0
     assert acoustics._mixed_margin(report, sensors, emitters) == report.rejected_floor == genuine_low
     checked = el.goodness_check(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,14 +295,26 @@ def _dense_scene(seed: int):
     return sensors, events, table, prediction_screen(sensors, table)
 
 
+def _event_fields(report):
+    return [(ev.event_time, ev.position.tobytes(), ev.source_times, ev.residual, ev.path,
+             ev.ambiguous) for ev in report.events]
+
+
+def _floor(residuals):
+    return float(residuals.min()) if residuals.size else None
+
+
 def _screen_is_the_reference(sensors, events, table, reference=None):
     """Assert that the match screens and accepts what the reference screen does.
 
-    The matcher's residual seam sees the reference's near rows and
-    ``unconfirmed`` holds its other rows, each in walk order.  The goodness
-    margin over both equals the minimum over every screened row but the
-    accepted genuine ones.  Returns the report, the rows, their near flags
-    and which of them the reference accepts.
+    By default the matcher's residual seam sees the reference's near rows;
+    with ``_screen_all`` it sees every reference row, each in walk order.
+    Both modes report the same events, accepted rows and counts.  With
+    ``_screen_all``, ``rejected_floor`` is the smallest residual of the
+    rows that were not accepted, and the goodness margin equals the minimum
+    over every screened row but the accepted genuine ones.  Returns the
+    default report, the rows, their near flags and which of them the
+    reference accepts.
     """
     held, screen = reference or prediction_screen(sensors, table)
     assert matching._held_out(sensors)[0] == held
@@ -310,24 +323,34 @@ def _screen_is_the_reference(sensors, events, table, reference=None):
     dist = sensors.pairwise_distances()
     residuals = el.batched_relation_residuals(rows, dist * dist)
     hits = near & (residuals <= el.MatchConfig().residual_threshold)
-    seen = []
     screen_fn = matching.batched_relation_residuals
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matching, "batched_relation_residuals",
-                   lambda tuples, dist2: seen.append(tuples.copy()) or screen_fn(tuples, dist2))
-        report = el.match_events(sensors, table)
-    assert np.concatenate(seen).tolist() == rows[near].tolist()
-    assert report.unconfirmed.tolist() == rows[~near].tolist()
-    assert not report.unconfirmed.flags.writeable
+    reports, seen = [], []
+    for screen_all in (False, True):
+        calls = []
+
+        def recording(tuples, dist2):
+            calls.append(tuples.copy())
+            return screen_fn(tuples, dist2)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "batched_relation_residuals", recording)
+            reports.append(el.match_events(sensors, table, _screen_all=screen_all))
+        seen.append(np.concatenate(calls).tolist())
+    report, full = reports
+    assert seen == [rows[near].tolist(), rows.tolist()]
     want = list(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
-    assert list(report.accepted) == want
-    assert report.accepted_tuples == len(want)
-    rejected = residuals[near & ~hits]
-    assert report.rejected_floor == (float(rejected.min()) if rejected.size else None)
+    for each in reports:
+        assert list(each.accepted) == want
+        assert each.accepted_tuples == len(want)
+    assert _event_fields(full) == _event_fields(report)
+    assert full.skipped == report.skipped
+    assert full.evaluated_tuples == report.evaluated_tuples
+    assert report.rejected_floor == _floor(residuals[near & ~hits])
+    assert full.rejected_floor == _floor(residuals[~hits])
     genuine = {tuple(el.event_arrivals(sensors, ev).tolist()) for ev in events}
     kept = [res for row, res, hit in zip(rows.tolist(), residuals.tolist(), hits)
             if not (hit and tuple(row) in genuine)]
-    assert acoustics._mixed_margin(report, sensors, events) == min(kept, default=None)
+    assert acoustics._mixed_margin(full, sensors, events) == min(kept, default=None)
     return report, rows, near, hits
 
 
@@ -416,6 +439,24 @@ def test_rejected_floor_is_none_when_nothing_is_rejected():
                                 report.events[0].residual),)
 
 
+def test_sweep_memory_is_bounded_by_the_piece_size(monkeypatch):
+    # With 64-row pieces a 60-event scene is swept in hundreds of pieces.
+    # Nothing may be kept from one piece to the next but scalars and the
+    # accepted tuples, so the peak is a few dozen arrays of one piece's
+    # (rows, m) floats, however many pieces there are.
+    monkeypatch.setattr(matching, "_CHUNK_ROWS", 64)
+    sensors, events, table = _scene(0, n_events=60, span=20.0)
+    config = el.MatchConfig(budget=table.product_size())
+    tracemalloc.start()
+    try:
+        report = el.match_events(sensors, table, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.events) == len(events)
+    assert peak <= 64 * matching._CHUNK_ROWS * sensors.count * 8
+
+
 def test_config_rejects_bad_values():
     for bad in (
         {"residual_threshold": -1.0},
@@ -426,6 +467,7 @@ def test_config_rejects_bad_values():
         {"rank_tol": 1.5},
         {"rank_tol": math.nan},
         {"budget": -1},
+        {"budget": math.nan},
     ):
         with pytest.raises(el.ValidationError):
             el.MatchConfig(**bad)
