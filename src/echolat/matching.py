@@ -12,16 +12,16 @@ by a budget.
 The walk runs over n+1 of the sensors.  Each of their surviving tuples (a
 prefix) determines its event in closed form, the reduced quadratic of
 :func:`solve`, and so predicts the arrival at the held-out sensor.  Only
-the held-out arrivals near a prediction are confirmed by relation residual
-and multilaterated, and the deduplicated events are reported.  Tuples are
-screened here and nowhere else: the goodness margin of
-:func:`echolat.acoustics.goodness_check` asks the sweep to screen the
-nearest arrival of each prediction with none near as well, and reads the
-smallest of those residuals from ``rejected_floor``.  The walk
-finds the windows of a whole block of prefixes with one ``searchsorted``
-per side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows,
-each walked to the last sensor before the next is built, so prefixes come
-out in lexicographic order and memory stays bounded.  Its blocks are
+the held-out arrivals near a prediction are picked, confirmed by relation
+residual and multilaterated, and the deduplicated events are reported.
+Tuples are screened here and nowhere else: only the goodness margin of
+:func:`echolat.acoustics.goodness_check` has the sweep pick and screen the
+nearest arrival of each prediction with none near as well, and it reads
+the smallest of those residuals from ``rejected_floor``.  The walk finds
+the windows of a whole block of prefixes with one ``searchsorted`` per
+side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows, each
+walked to the last sensor before the next is built, so prefixes come out
+in lexicographic order and memory stays bounded.  Its blocks are
 sensor-major (Fortran-ordered), so the max and min over a prefix's sensors
 run across contiguous columns rather than along numpy's slow short axis.
 :meth:`ReceptionTable.from_events` is the one place where reception tables
@@ -185,15 +185,15 @@ class MatchReport:
     lists accepted tuples whose solve failed numerically, as (tuple,
     reason) pairs.  Events are sorted by (time, lexicographic position).
 
-    The screen itself is reported too.  Of the evaluated tuples only those
-    a prefix's prediction picks are screened by relation residual (see
-    :func:`match_events`), and only the near ones, within tau of a
-    prediction, can be accepted.  ``accepted`` holds every near tuple whose
-    residual is at most the threshold, as (source_times, residual) pairs in
-    walk order, including those later skipped or dropped as ambiguous;
-    ``accepted_tuples`` is its length.  ``rejected_floor`` is the smallest
-    residual of a screened tuple that was not accepted, None when every
-    screened tuple was accepted.
+    The screen itself is reported too.  Of the evaluated tuples only the
+    near ones, within tau of a prefix's prediction, are screened and can be
+    accepted, unless the goodness margin has the sweep screen the nearest
+    ones too (see :func:`match_events`).  ``accepted`` holds every near
+    tuple whose residual is at most the threshold, as (source_times,
+    residual) pairs in walk order, including those later skipped or dropped
+    as ambiguous; ``accepted_tuples`` is its length.  ``rejected_floor`` is
+    the smallest residual of a screened tuple that was not accepted, None
+    when every screened tuple was accepted.
     """
 
     events: tuple[DetectedEvent, ...]
@@ -354,40 +354,43 @@ def _predict(prefixes, inverse, local, diameter, disc_tol):
     return out, fragile
 
 
-def _screen_rows(arrivals, wlo, whi, predicted, fragile, tau):
+def _screen_rows(arrivals, wlo, whi, predicted, fragile, tau, screen_all=False):
     """The (prefix, arrival) pairs the predictions pick, in walk order, and which are near.
 
-    Prefix i's window is ``arrivals[wlo[i]:whi[i]]``.  Each root screens the
-    window's arrivals within ``tau`` of its prediction (near), or failing
-    those the one arrival of the window nearest the prediction.  A fragile
-    prefix screens its whole window, all near.  Returns the prefix and
-    arrival indices of the distinct pairs, sorted, and whether each is near.
+    Prefix i's window is ``arrivals[wlo[i]:whi[i]]``.  Each root picks the
+    window's arrivals within ``tau`` of its prediction (near), and a fragile
+    prefix its whole window, all near.  Only with ``screen_all`` does a root
+    with no near arrival also pick the one arrival of the window nearest its
+    prediction.  Returns the prefix and arrival indices of the distinct
+    pairs, sorted, and whether each is near.
     """
-    k = len(wlo)
-    ok = ~np.isnan(predicted)
-    guess = np.where(ok, predicted, 0.0)
-    starts = np.maximum(np.searchsorted(arrivals, guess - tau, side="left"), wlo[:, None])
-    stops = np.minimum(np.searchsorted(arrivals, guess + tau, side="right"), whi[:, None])
-    counts = np.where(ok, np.maximum(stops - starts, 0), 0)
-    starts = np.column_stack((starts, wlo)).ravel()
-    counts = np.column_stack((counts, np.where(fragile, whi - wlo, 0))).ravel()
-    total = int(counts.sum())
-    near_p = np.repeat(np.repeat(np.arange(k), 3), counts)
-    near_a = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+    size = arrivals.size
+    # A NaN prediction sorts past every arrival, so it finds none.
+    lo = np.maximum(np.searchsorted(arrivals, predicted - tau, side="left"), wlo[:, None])
+    hit = np.flatnonzero(lo < whi[:, None])
+    hit = hit[arrivals[lo.flat[hit]] <= predicted.flat[hit] + tau]
+    owner = np.concatenate((hit // 2, np.flatnonzero(fragile)))
+    starts = np.concatenate((lo.flat[hit], wlo[fragile]))
+    stops = np.searchsorted(arrivals, predicted.flat[hit] + tau, side="right")
+    counts = np.minimum(np.concatenate((stops, whi[fragile])), whi[owner]) - starts
+    near = np.repeat(owner * size + starts - (np.cumsum(counts) - counts), counts)
+    near += np.arange(near.size)
+    if not screen_all:
+        keys = np.unique(near)
+        return keys // size, keys % size, np.ones(keys.size, dtype=bool)
 
-    lone = ok & (counts.reshape(k, 3)[:, :2] == 0) & (whi > wlo)[:, None]
+    # For a root with none near, every arrival from lo up to its prediction is
+    # within tau, so outside the window: lo splits it where the prediction would.
+    lone = ~np.isnan(predicted) & (whi > wlo)[:, None]
+    lone.flat[hit] = False
     lone_p = np.nonzero(lone)[0]
-    value = predicted[lone]
-    at = np.searchsorted(arrivals, value)
+    value, at = predicted[lone], lo[lone]
     left = np.clip(at - 1, wlo[lone_p], whi[lone_p] - 1)
     right = np.clip(at, wlo[lone_p], whi[lone_p] - 1)
     nearer = np.abs(arrivals[right] - value) < np.abs(arrivals[left] - value)
-    lone_a = np.where(nearer, right, left)
-
-    size = arrivals.size
-    keys, first = np.unique(np.concatenate((near_p * size + near_a, lone_p * size + lone_a)),
+    keys, first = np.unique(np.concatenate((near, lone_p * size + np.where(nearer, right, left))),
                             return_index=True)
-    return keys // size, keys % size, first < total
+    return keys // size, keys % size, first < near.size
 
 
 def match_events(
@@ -404,19 +407,18 @@ def match_events(
     and the window walk runs over the other n+1, whose tuples are the
     prefixes.  Each prefix's reduced quadratic, the n+1-sensor closed form
     of :func:`solve`, predicts the held-out arrival of every non-spurious
-    root; the prediction picks the held-out arrivals within tau of it or,
-    if there are none, the one arrival nearest it in the prefix's window.
-    tau is 1e-2 max(``config.residual_threshold``, 1e-6)
-    (diameter + span), 1e-8 (diameter + span) at the default threshold, so
-    timing noise of more than about 1e-9 of that scale needs a higher
-    threshold.  A prefix whose root is too ill-conditioned to predict from
-    (a near-linear, nearly flat or near-double quadratic, see
-    :func:`_predict`) picks its whole window, all within tau.  The picked
-    tuples within tau are screened: one is accepted when its relation
-    residual is at most ``config.residual_threshold``.  The nearest-arrival
-    tuples cannot be accepted, so they are screened only with
+    root; the prediction picks the held-out arrivals within tau of it.  tau
+    is 1e-2 max(``config.residual_threshold``, 1e-6) (diameter + span), 1e-8
+    (diameter + span) at the default threshold, so timing noise of more than
+    about 1e-9 of that scale needs a higher threshold.  A prefix whose root
+    is too ill-conditioned to predict from (a near-linear, nearly flat or
+    near-double quadratic, see :func:`_predict`) picks its whole window, all
+    within tau.  The picked tuples are screened: one is accepted when its
+    relation residual is at most ``config.residual_threshold``.  Only with
     ``_screen_all`` set, as :func:`echolat.acoustics.goodness_check` does
-    for its margin; their residuals then count towards ``rejected_floor``.
+    for its margin, does a prediction with none within tau also pick the
+    one arrival nearest it in the window; that tuple cannot be accepted,
+    and its residual counts towards ``rejected_floor``.
 
     Each accepted tuple is multilaterated and its non-spurious candidates
     become detected events.  Ambiguous tuples (two viable candidates)
@@ -467,14 +469,12 @@ def match_events(
         whi = np.maximum(whi, wlo)
         evaluated += int((whi - wlo).sum())
         predicted, fragile = _predict(prefixes, inverse, local, prefix_diameter, disc_tol)
-        which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau)
+        which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau, _screen_all)
+        if not which.size:
+            continue
         rows = np.empty((which.size, m))
         rows[:, keep] = prefixes[which]
         rows[:, held] = arrivals[index]
-        if not _screen_all:
-            rows, near = rows[near], near[near]
-        if not rows.size:
-            continue
         residuals = batched_relation_residuals(rows, dist2)
         hits = near & (residuals <= config.residual_threshold)
         if not hits.all():

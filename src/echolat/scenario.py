@@ -12,6 +12,7 @@ Reports convert nothing back — outputs are in the same distance units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -59,14 +60,17 @@ class Scenario:
 def _number(value, where: str) -> float:
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad fraction string {value!r}") from exc
-    raise ParseError(f"{where}: expected a number or fraction string, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise ParseError(f"{where}: expected a number or fraction string, got {type(value).__name__}")
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: bad fraction string {value!r}") from exc
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: not a finite double")
+    return number
 
 
 def _vector(value, dim: int, where: str) -> np.ndarray:
@@ -202,4 +206,6 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{p}: {exc}") from exc
     return parse_scenario(doc, source=str(p))

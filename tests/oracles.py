@@ -8,8 +8,9 @@ sensor/time dataset.  :func:`survivor_blocks` is the matcher's original
 element-by-element window walk, kept as the reference for the vectorised
 walk in :mod:`echolat.matching`, and :func:`prediction_screen` is the
 reference for its prediction screen, one prefix and one :func:`echolat.solve`
-at a time.  :func:`dedup_events` is the matcher's original quadratic
-dedup loop, the reference for its windowed one.
+at a time, and :func:`screen_rows` the reference for the vectorised pick
+of one piece's (prefix, arrival) pairs.  :func:`dedup_events` is the
+matcher's original quadratic dedup loop, the reference for its windowed one.
 """
 
 from __future__ import annotations
@@ -230,6 +231,33 @@ def prediction_screen(sensors, table, threshold: float = 1e-6):
             row[held] = last[j]
             out.append((tuple(row.tolist()), j in near))
     return held, out
+
+
+def screen_rows(arrivals, wlo, whi, predicted, fragile, tau, screen_all=False) -> list:
+    """The (prefix, arrival, near) triples of ``matching._screen_rows``, one prefix at a time.
+
+    Prefix i's window is ``arrivals[wlo[i]:whi[i]]``.  A fragile prefix
+    picks its whole window, near.  Each prediction that is not NaN picks the
+    window's arrivals a with guess - tau <= a <= guess + tau in floats,
+    near, and, only with ``screen_all`` and when it picked none, the window
+    arrival nearest to it, the earlier one on a tie.  Returns the distinct
+    pairs in (prefix, arrival) order; a pair is near if any pick of it is.
+    """
+    arrivals = arrivals.tolist()
+    out = []
+    for i, (lo, hi) in enumerate(zip(wlo.tolist(), whi.tolist())):
+        window = range(lo, hi)
+        near = set(window) if fragile[i] else set()
+        lone = set()
+        for guess in predicted[i].tolist():
+            if guess != guess:
+                continue
+            hits = {j for j in window if guess - tau <= arrivals[j] <= guess + tau}
+            near |= hits
+            if screen_all and window and not hits:
+                lone.add(min(window, key=lambda j: (abs(arrivals[j] - guess), j)))
+        out.extend((i, j, j in near) for j in sorted(near | lone))
+    return out
 
 
 def dedup_events(found, time_eps: float, pos_eps: float) -> list:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,6 +20,8 @@ from echolat import __version__
 from echolat.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+COMMANDS = ("solve", "match", "simulate", "detect-walls", "check-geometry", "goodness")
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +249,12 @@ def test_exit_2_on_parse_and_validation_problems(capsys, tmp_path):
     code, _, err = run_cli(capsys, "detect-walls", scenario("shoebox_3d"), "--budget", "3")
     assert code == 2 and "budget" in err
 
+    huge = tmp_path / "huge.json"
+    speed = "1" + "0" * 400
+    huge.write_text(f'{{"dimension": 2, "speed": {speed}, "sensors": [[0, 0], [1, 0], [0, 1]]}}')
+    code, out, err = run_cli(capsys, "check-geometry", str(huge))
+    assert code == 2 and out == "" and "speed: not a finite double" in err
+
 
 @pytest.mark.parametrize(
     "flags",
@@ -254,9 +264,7 @@ def test_exit_2_on_parse_and_validation_problems(capsys, tmp_path):
         ("--budget", "-1"),
     ],
 )
-@pytest.mark.parametrize(
-    "command", ["solve", "match", "simulate", "detect-walls", "check-geometry", "goodness"]
-)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_exit_2_on_bad_tuning_flags(capsys, command, flags):
     name = "ambiguous_3d" if command in ("solve", "match") else "shoebox_3d"
     code, out, err = run_cli(capsys, command, scenario(name), *flags)
@@ -276,6 +284,37 @@ def test_exit_3_on_numeric_failure(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 3
     assert "NotSpanning" in err
+
+
+#: Recorded command lines: every subcommand on every shipped scenario, and
+#: the goodness check on the shoebox at a few seeds.
+GOLDEN_CASES = [
+    *(f"{command} {path.stem}" for command in COMMANDS
+      for path in sorted(SCENARIO_DIR.glob("*.json"))),
+    *(f"goodness shoebox_3d --trials 3 --seed {seed}" for seed in range(5)),
+]
+
+
+def _golden_run(case: str) -> dict:
+    """Exit code, stdout and stderr of ``echolat`` on a ``GOLDEN_CASES`` entry."""
+    command, name, *flags = case.split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, scenario(name), *flags])
+    return {
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue().replace(str(SCENARIO_DIR), "scenarios"),
+    }
+
+
+def test_output_matches_the_recorded_golden():
+    # Regenerate with ``PYTHONPATH=src python tests/test_cli.py >
+    # tests/cli_golden.json``, only in a change meant to alter the output.
+    golden = json.loads(GOLDEN.read_text())
+    assert list(golden) == GOLDEN_CASES
+    for case in GOLDEN_CASES:
+        assert _golden_run(case) == golden[case], case
 
 
 def test_version_flag(capsys):
@@ -383,3 +422,8 @@ def test_detect_walls_prints_the_same_walls_under_every_openblas_kernel():
     assert len(walls[None]) == 6
     for kernel, lines in walls.items():
         assert lines == walls[None], f"OPENBLAS_CORETYPE={kernel} prints other walls"
+
+
+if __name__ == "__main__":
+    json.dump({case: _golden_run(case) for case in GOLDEN_CASES}, sys.stdout, indent=1)
+    sys.stdout.write("\n")

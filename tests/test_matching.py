@@ -16,7 +16,7 @@ import echolat as el
 from echolat import acoustics, lateration, linalg, matching
 from echolat.cli import main
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
-from oracles import dedup_events, prediction_screen, survivor_blocks
+from oracles import dedup_events, prediction_screen, screen_rows, survivor_blocks
 
 
 def _scene(seed: int, n_events: int = 3, span: float = 30.0):
@@ -429,6 +429,74 @@ def test_prediction_does_not_depend_on_the_prefix_layout(scene):
              for layout in (np.ascontiguousarray, np.asfortranarray)]
     assert flags[0].tobytes() == flags[1].tobytes()
     assert 0 < flags[0].sum() < flags[0].size
+
+
+def _hand_built_screen():
+    """One piece's windows and predictions that reach each edge of the pick at tau = 0.25."""
+    arrivals = np.array([0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0])
+    nan = math.nan
+    prefixes = [  # window, root predictions, fragile
+        ((0, 8), (1.0, nan), False),  # arrivals exactly at guess - tau and guess + tau
+        ((5, 8), (1.1, nan), False),  # near arrivals just below the window
+        ((0, 4), (1.3, nan), False),  # near arrivals just above the window
+        ((0, 8), (nan, nan), False),  # no real root
+        ((3, 3), (nan, nan), True),  # fragile, empty window
+        ((5, 7), (nan, nan), True),  # fragile: the whole window
+        ((0, 8), (2.0, 2.1), False),  # both roots pick arrival 6
+        ((6, 8), (2.6, 3.1), False),  # root 0's nearest arrival is root 1's near one
+        ((0, 8), (3.0, 0.5), False),  # root 1 picks before root 0
+        ((6, 8), (2.5, nan), False),  # nearest arrival is a tie
+        ((4, 4), (1.25, nan), False),  # empty window
+        ((6, 8), (1.75, nan), False),  # the window's first arrival is at guess + tau
+        ((0, 4), (1.1, nan), False),  # near arrivals run on past the window's end
+    ]
+    wlo, whi = (np.array(bound, dtype=np.intp) for bound in zip(*(w for w, _, _ in prefixes)))
+    predicted = np.array([roots for _, roots, _ in prefixes])
+    fragile = np.array([flag for _, _, flag in prefixes])
+    return arrivals, wlo, whi, predicted, fragile
+
+
+@pytest.mark.parametrize("screen_all", [False, True])
+def test_screen_rows_picks_what_the_reference_picks(screen_all):
+    args = (*_hand_built_screen(), 0.25, screen_all)
+    which, index, near = matching._screen_rows(*args)
+    got = list(zip(which.tolist(), index.tolist(), near.tolist()))
+    assert got == screen_rows(*args)
+    want = [(0, 2), (0, 3), (0, 4), (5, 5), (5, 6), (6, 6), (7, 7), (8, 1), (8, 2), (8, 7),
+            (11, 6), (12, 3)]
+    want = [(i, j, True) for i, j in want]
+    if screen_all:
+        want = sorted(want + [(1, 5, False), (2, 3, False), (9, 6, False)])
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 11, 4096])
+def test_default_screen_is_the_flagged_screen_filtered_by_near(monkeypatch, chunk_rows):
+    monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
+    screen, pieces = matching._screen_rows, []
+
+    def recording(*args):
+        pieces.append(args[:6])
+        return screen(*args)
+
+    monkeypatch.setattr(matching, "_screen_rows", recording)
+    for seed in (1, 2, 3):
+        sensors, _, table, _ = _dense_scene(seed)
+        el.match_events(sensors, table)
+    sensors, _, table = _flat_scene(1e-5)
+    el.match_events(sensors, table)
+    lone = fragile = 0
+    for args in pieces:
+        default, flagged = screen(*args), screen(*args, True)
+        assert default[2].all()
+        assert [part.tolist() for part in default[:2]] == [
+            part[flagged[2]].tolist() for part in flagged[:2]
+        ]
+        for screen_all, result in ((False, default), (True, flagged)):
+            assert list(zip(*(part.tolist() for part in result))) == screen_rows(*args, screen_all)
+        lone += int((~flagged[2]).sum())
+        fragile += int(args[4].sum())
+    assert lone > 0 and fragile > 0
 
 
 def test_rejected_floor_is_none_when_nothing_is_rejected():

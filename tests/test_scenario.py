@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,37 @@ def test_fraction_strings():
         el.parse_scenario(minimal(speed="1/0"))
     with pytest.raises(el.ParseError):
         el.parse_scenario(minimal(speed="fast"))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), "1e400", "-1e400", math.inf, -math.inf, math.nan],
+    ids=["int", "-int", "str", "-str", "inf", "-inf", "nan"],
+)
+def test_numbers_that_are_not_finite_doubles_are_parse_errors(value):
+    with pytest.raises(el.ParseError, match=r"<memory>: speed: not a finite double"):
+        el.parse_scenario(minimal(speed=value))
+    with pytest.raises(el.ParseError, match=r"<memory>: sensors\[1\]\[0\]: not a finite double"):
+        el.parse_scenario(minimal(sensors=[[4, 0], [value, 4], [-3, -4]]))
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1e400", "speed: not a finite double"),
+        ("-Infinity", "speed: not a finite double"),
+        ("NaN", "speed: not a finite double"),
+        ("1" + "0" * 400, "speed: not a finite double"),
+        # Past Python's digit limit for int parsing, where it has one.
+        ("1" * 5000, "Exceeds the limit|speed: not a finite double"),
+    ],
+    ids=["1e400", "-Infinity", "NaN", "400-digits", "5000-digits"],
+)
+def test_json_numbers_past_a_double_are_parse_errors(tmp_path, literal, message):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"dimension": 2, "speed": {literal}, "sensors": [[4, 0], [-3, 4]]}}')
+    with pytest.raises(el.ParseError, match=message):
+        el.load_scenario(path)
 
 
 def test_unknown_keys_rejected():
