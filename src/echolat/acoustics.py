@@ -58,11 +58,20 @@ class Wall:
         vec = np.array(self.normal, dtype=float).reshape(-1)
         if vec.size < 2 or not np.isfinite(vec).all() or not np.isfinite(self.offset):
             raise ValidationError("wall needs a finite normal (dim >= 2) and offset")
+        # Scaling both by one power of two is exact and puts the largest
+        # component in [1/2, 1), so the squared norm cannot leave the double range.
+        exponent = math.frexp(float(np.abs(vec).max()))[1]
+        vec = np.ldexp(vec, -exponent)
         length = math.sqrt(fsum_dot(vec.tolist(), vec.tolist()))
         if length == 0.0:
             raise ValidationError("wall normal must be nonzero")
         vec = vec / length
-        offset = float(self.offset) / length
+        try:
+            offset = math.ldexp(float(self.offset), -exponent) / length
+        except OverflowError:
+            offset = math.inf
+        if not math.isfinite(offset):
+            raise ValidationError(f"wall offset {self.offset} over the normal's length overflows")
         for component in vec:
             if abs(component) > _ORIENT_EPS:
                 if component < 0.0:
@@ -308,8 +317,9 @@ def goodness_check(
     """
     if sensors.dim != room.dim:
         raise DimensionMismatch(f"sensors have dimension {sensors.dim}, room {room.dim}")
-    if trials < 0:
-        raise ValidationError(f"trials must be >= 0, got {trials}")
+    for name, value in (("trials", trials), ("rng_seed", rng_seed)):
+        if not (hasattr(type(value), "__index__") and value >= 0):
+            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
     normal_tol = 1e-6
     offset_tol = 1e-6 * (1.0 + max((abs(w.offset) for w in room.walls), default=0.0))
     rng = np.random.default_rng(rng_seed)

@@ -3,10 +3,10 @@
 :func:`solve` recovers one emission event from one reception time per
 sensor; :func:`check_geometry` diagnoses whether a sensor layout makes that
 event unique.  Only the time column of the linearised system depends on the
-times, so a caller that solves one layout many times (the matcher) has its
-:class:`SensorArray` factor the geometry block once
-(:func:`linalg.exact_factor`), and every later square solve on it reuses
-that factor.
+times, so the matcher has its :class:`SensorArray` of n+2 sensors factor
+the geometry block once (:func:`linalg.exact_factor`): the factor picks
+the held-out sensor and its local inverse, and every later full-rank solve
+on the layout reuses it.
 """
 
 from __future__ import annotations
@@ -92,12 +92,13 @@ class SensorArray:
 
     @cached_property
     def _factor(self) -> linalg.ExactFactor | None:
-        """The exact factorisation of G = (2 a_i, -1) for square solves.
+        """The exact factorisation of G = (2 a_i, -1) of n+2 sensors.
 
         Built on first access and kept on the instance; None when no n+1 of
         the sensors give an invertible block.  Building it costs about one
-        solve, so only a caller that solves this layout many times reads it;
-        :func:`solve` uses it once it exists (:func:`_built_factor`).
+        solve, so only the matcher, which solves its layout many times,
+        reads it.  :func:`solve` uses it for full-rank solves once it exists
+        (:func:`_built_factor`).
         """
         return linalg.exact_factor(_linearise(self, np.zeros(self.count))[:, 1:])
 
@@ -253,15 +254,15 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     Every linear solve is exact and rounded once per component, and each
     quadratic coefficient is rounded once from (u, alpha) and (v, beta)
     (:func:`linalg.fsum_dot`), so no printed digit depends on the BLAS
-    library.  When ``sensors`` already holds its exact factorisation of
-    ``G`` (the matcher builds it once per layout), the square systems (n+2
-    sensors on the full-rank path, n+1 on the quadratic path) use it: the
-    emission time is ``gamma.b / gamma.c`` for the left null vector
-    ``gamma`` of ``G``, and the rest comes from the adjugate of an
+    library.  When n+2 ``sensors`` already hold their exact factorisation
+    of ``G`` (the matcher builds it once per layout), the full-rank system
+    uses it: the emission time is ``gamma.b / gamma.c`` for the left null
+    vector ``gamma`` of ``G``, and the rest comes from the adjugate of an
     invertible block.  A lone solve does not build it.  Every other system
-    (no factor, tall, no invertible block, exactly singular) goes to
-    :func:`linalg.least_squares_solve`, which raises :class:`RankDeficient`
-    for an exactly singular one.  Both give the same digits.
+    (no factor, the quadratic path, tall, no invertible block, exactly
+    singular) goes to :func:`linalg.least_squares_solve`, which raises
+    :class:`RankDeficient` for an exactly singular one.  Both give the same
+    digits.
     """
     t = _as_times(times, sensors.count)
     m, n = sensors.positions.shape
@@ -270,9 +271,9 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     amat = _linearise(sensors, t)
     rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
     diameter = sensors.diameter()
-    factor = _built_factor(sensors)
     if rank == n + 2:
         rhs = _rhs(sensors, t)
+        factor = _built_factor(sensors)
         solution = None
         if m == n + 2 and factor is not None:
             solution = factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
@@ -284,12 +285,8 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
 
     if not sensors.spans_space(rank_tol):
         raise NotSpanning("sensors do not affinely span the ambient space")
-    columns = (2.0 * t, _rhs(sensors, t))
-    if m == n + 1 and factor is not None:
-        t_part, const_part = factor.solve([col.tolist() for col in columns])
-    else:
-        rhs = np.array(columns).T
-        t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
+    rhs = np.array((2.0 * t, _rhs(sensors, t))).T
+    t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
     u, alpha = t_part[:n], t_part[n]
     v, beta = const_part[:n], const_part[n]
     coeff_a = linalg.fsum_dot(u, u, -1.0)

@@ -9,12 +9,11 @@ Only :func:`numeric_rank` decides a rank, with numpy's SVD: singular
 values against a relative cutoff.  The steps that produce digits do not go
 through BLAS or LAPACK: :func:`least_squares_solve` solves exactly in
 integer arithmetic, refusing only exactly dependent columns, and rounds
-once; :func:`exact_factor` does the same elimination once for a matrix
-whose right-hand sides change, so that each later square solve is a few
-integer dot products; and :func:`fsum_dot` rounds a dot product once with
-:func:`math.fsum`.  Their results are the same under every BLAS kernel and
-on every IEEE-754 machine.  :func:`hadamard_ratio` still calls
-``np.linalg.det``.
+once; :func:`exact_factor` does the same elimination once for a (k+1) x k
+matrix, so that each later solve on it is a few integer dot products; and
+:func:`fsum_dot` rounds a dot product once with :func:`math.fsum`.  Their
+results are the same under every BLAS kernel and on every IEEE-754
+machine.  :func:`hadamard_ratio` still calls ``np.linalg.det``.
 """
 
 from __future__ import annotations
@@ -179,17 +178,17 @@ def _bareiss(rows: list[list[int]], n: int, width: int) -> tuple[int, list[list[
 
 @dataclass(frozen=True, eq=False)
 class ExactFactor:
-    """An exact factorisation of a k x k or (k+1) x k matrix ``G`` of rank k.
+    """An exact factorisation of a (k+1) x k matrix ``G`` of rank k.
 
     ``G`` is held as integers times ``2**exponent``.  ``block`` lists the k
     rows of an invertible square block of those integers; ``det`` is its
     determinant up to sign and ``adjugate`` the matching ``det * inverse``,
-    row by row, both from one :func:`_bareiss` pass over [block | I].  For
-    k+1 rows, ``null`` is the left null vector of ``G`` made of signed
-    k-minors (``null @ G == 0``); it is empty for k rows.  Every solve is
-    the exact rational solution, rounded once per component, so it agrees
-    bit for bit with :func:`least_squares_solve` on the same square system.
-    Build one with :func:`exact_factor`.
+    row by row, both from one :func:`_bareiss` pass over [block | I].
+    ``null`` is the left null vector of ``G`` made of signed k-minors
+    (``null @ G == 0``), with ``det`` at the row the block leaves out.
+    Every result is the exact rational, rounded once per component, so a
+    solve agrees bit for bit with :func:`least_squares_solve` on the same
+    system.  Build one with :func:`exact_factor`.
     """
 
     exponent: int
@@ -198,17 +197,8 @@ class ExactFactor:
     adjugate: tuple[tuple[int, ...], ...]
     null: tuple[int, ...]
 
-    def solve(self, columns: list[list[float]]) -> list[list[float]]:
-        """``G^-1 b`` for each right-hand side ``b`` in ``columns`` (square ``G``)."""
-        out = []
-        for column in columns:
-            ints, exponent = _integers(column)
-            shift = exponent - self.exponent
-            out.append([_quotient(_dot(row, ints), self.det, shift) for row in self.adjugate])
-        return out
-
     def solve_bordered(self, column: list[float], rhs: list[float]) -> list[float] | None:
-        """The solution ``(t, y)`` of ``t * column + G y = rhs`` (k+1 rows).
+        """The solution ``(t, y)`` of ``t * column + G y = rhs``.
 
         The bordered matrix is singular exactly when ``null @ column`` is 0,
         and then None is returned.  Otherwise t is ``null @ rhs / null @
@@ -229,32 +219,43 @@ class ExactFactor:
             _quotient(_dot(row, reduced), den, shift) for row in self.adjugate
         ]
 
+    def local_inverse(self) -> np.ndarray:
+        """The inverse of the block in the frame of the row it leaves out, rounded once.
+
+        For a ``G`` whose last column is -1, such as (2 a_i, -1), moving the
+        origin to the left-out row ``(g, -1)`` turns the block into the block
+        times T = [[I, 0], [g, 1]].  Its inverse keeps the first k-1 rows of
+        the block's; the last row, the block's last row minus ``g`` times
+        them, is ``null`` over ``det`` on the block.
+        """
+        rows = [[_quotient(e, self.det, -self.exponent) for e in row] for row in self.adjugate[:-1]]
+        rows.append([_quotient(self.null[i], self.det, 0) for i in self.block])
+        return np.array(rows)
+
 
 def exact_factor(a) -> ExactFactor | None:
-    """The :class:`ExactFactor` of a k x k or (k+1) x k matrix, None if its rank is below k.
+    """The :class:`ExactFactor` of a (k+1) x k matrix, None if its rank is below k.
 
-    The block leaves out the last row it can (none for a square matrix), so
-    a generic matrix needs one Bareiss pass.
+    The block leaves out the last row it can, so a generic matrix needs one
+    Bareiss pass.
     """
     arr = _as_matrix(a)
     count, k = arr.shape
-    if count not in (k, k + 1):
-        raise ValueError(f"need k or k+1 rows for k columns, got shape {arr.shape}")
+    if count != k + 1:
+        raise ValueError(f"need k+1 rows for k columns, got shape {arr.shape}")
     ints, exponent = _integers(arr.ravel().tolist())
     rows = [ints[i : i + k] for i in range(0, len(ints), k)]
     unit = [[int(i == j) for j in range(k)] for i in range(k)]
-    for drop in reversed(range(count)) if count > k else (count,):
+    for drop in reversed(range(count)):
         block = tuple(i for i in range(count) if i != drop)
         try:
             det, inverse = _bareiss([rows[i] + e for i, e in zip(block, unit)], k, 2 * k)
         except RankDeficient:
             continue
-        null = []
-        if count > k:
-            # null @ G = 0: the dropped row weighs det, the block rows -row @ adjugate.
-            null = [det] * count
-            for i, column in zip(block, inverse):
-                null[i] = -_dot(rows[drop], column)
+        # null @ G = 0: the dropped row weighs det, the block rows -row @ adjugate.
+        null = [det] * count
+        for i, column in zip(block, inverse):
+            null[i] = -_dot(rows[drop], column)
         return ExactFactor(exponent, block, det, tuple(zip(*inverse)), tuple(null))
     return None
 

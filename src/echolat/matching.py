@@ -9,19 +9,20 @@ sorted lists skips most of the Cartesian product without ever discarding a
 genuine event.  The full product size is still counted exactly and guarded
 by a budget.
 
-The walk runs over n+1 of the sensors.  Each of their surviving tuples (a
-prefix) determines its event in closed form, the reduced quadratic of
-:func:`solve`, and so predicts the arrival at the held-out sensor.  Only
-the held-out arrivals near a prediction are picked, confirmed by relation
-residual and multilaterated, and the deduplicated events are reported.
+The walk takes one sensor last, held out.  Each surviving tuple of the
+other n+1 (a prefix) determines its event in closed form, the reduced
+quadratic of :func:`solve`, and so predicts the arrival at the held-out
+sensor.  Only the arrivals of its window there near a prediction are
+picked, confirmed by relation residual and multilaterated, and the
+deduplicated events are reported.
 Tuples are screened here and nowhere else: only the goodness margin of
 :func:`echolat.acoustics.goodness_check` has the sweep pick and screen the
 nearest arrival of each prediction with none near as well, and it reads
 the smallest of those residuals from ``rejected_floor``.  The walk finds
 the windows of a whole block of prefixes with one ``searchsorted`` per
 side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows, each
-walked to the last sensor before the next is built, so prefixes come out
-in lexicographic order and memory stays bounded.  Its blocks are
+walked to the held-out sensor before the next is built, so prefixes come
+out in lexicographic order and memory stays bounded.  Its blocks are
 sensor-major (Fortran-ordered), so the max and min over a prefix's sensors
 run across contiguous columns rather than along numpy's slow short axis.
 :meth:`ReceptionTable.from_events` is the one place where reception tables
@@ -38,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, NotSpanning, NumericError, RankDeficient, ValidationError
+from .errors import BudgetExceeded, NotSpanning, NumericError, ValidationError
 from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _arrivals, _spurious, solve
 from .relations import batched_relation_residuals
 
@@ -212,33 +213,38 @@ def _default_slack(sensors: SensorArray, table: ReceptionTable) -> float:
     return 1e-9 * (sensors.diameter() + table.span()) + 1e-12
 
 
-def _walk(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> Iterator[np.ndarray]:
-    """Walk the pruned product breadth-first, yielding (k, m) blocks of tuples.
+def _walk(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> Iterator[tuple]:
+    """Walk the pruned product breadth-first, yielding (prefixes, lo, hi) blocks.
 
     A tuple survives when ``|t_i - t_j| <= d_ij + slack`` for every sensor
-    pair.  Each step takes a block of prefixes over the first l sensors, finds
-    every prefix's window ``arrays[l][lo:hi]`` at once and extends the
-    block piece by piece: a piece holds the extensions of consecutive
-    prefixes, at most ``_CHUNK_ROWS`` rows unless one prefix alone has
-    more, and is walked to the last sensor before the next piece is built.
-    The yielded rows therefore come out in lexicographic order.  Blocks are
-    Fortran-ordered (k, l), one contiguous column per sensor, because every
-    reduction over a prefix's sensors is then an elementwise max or min
-    across columns.
+    pair.  Each step takes a block of prefixes over the first l sensors and
+    finds every prefix's window ``arrays[l][lo:hi]`` at once (``hi >= lo``).
+    At the last sensor it yields the block and its windows.  Before that it
+    extends the block piece by piece: a piece holds the extensions of
+    consecutive prefixes, at most ``_CHUNK_ROWS`` rows unless one prefix
+    alone has more, and is walked to the last sensor before the next piece
+    is built.  The prefixes therefore come out in lexicographic order.
+    Blocks are Fortran-ordered (k, l), one contiguous column per sensor,
+    because every reduction over a prefix's sensors is then an elementwise
+    max or min across columns.
     """
     m = len(arrays)
 
-    def extend(prefixes: np.ndarray) -> Iterator[np.ndarray]:
+    def extend(prefixes: np.ndarray) -> Iterator[tuple]:
         level = prefixes.shape[1]
         arr = arrays[level]
         if level == 0:
             lo = np.zeros(1, dtype=np.intp)
-            counts = np.full(1, arr.size, dtype=np.intp)
+            hi = np.full(1, arr.size, dtype=np.intp)
         else:
             lo_t = (prefixes - dist[:level, level]).max(axis=1) - slack
             hi_t = (prefixes + dist[:level, level]).min(axis=1) + slack
             lo = np.searchsorted(arr, lo_t, side="left")
-            counts = np.maximum(np.searchsorted(arr, hi_t, side="right") - lo, 0)
+            hi = np.maximum(np.searchsorted(arr, hi_t, side="right"), lo)
+        if level == m - 1:
+            yield prefixes, lo, hi
+            return
+        counts = hi - lo
         ends = np.cumsum(counts)
         total = int(ends[-1])
         done = 0
@@ -252,10 +258,7 @@ def _walk(arrays: tuple[np.ndarray, ...], dist: np.ndarray, slack: float) -> Ite
                 block[:, col] = np.repeat(prefixes[start:stop, col], width)
             first = lo[start:stop] - (ends[start:stop] - width - done)
             block[:, level] = arr[np.repeat(first, width) + np.arange(rows)]
-            if level == m - 1:
-                yield block
-            else:
-                yield from extend(block)
+            yield from extend(block)
             done += rows
 
     yield from extend(np.empty((1, 0)))
@@ -293,21 +296,20 @@ def _dedup_events(
 def _held_out(sensors: SensorArray) -> tuple[int, list[int], np.ndarray, np.ndarray]:
     """The last sensor whose removal leaves an exactly invertible G = (2 a_i, -1).
 
-    Returns that sensor's index, the indices of the other n+1 sensors,
-    their positions relative to it and the correctly rounded inverse of
-    their G in that frame.  Raises :class:`NotSpanning` when no sensor
-    qualifies, which happens only for an exactly coplanar layout.
+    That is the row the block of ``sensors._factor`` leaves out.  Returns
+    its index, the block's n+1 sensors, their positions relative to it and
+    the correctly rounded inverse of their exact G in that frame
+    (:meth:`linalg.ExactFactor.local_inverse`).  Raises :class:`NotSpanning`
+    when the factor is None, which happens only for an exactly coplanar
+    layout.
     """
-    m, n = sensors.positions.shape
-    for held in reversed(range(m)):
-        keep = [i for i in range(m) if i != held]
-        local = sensors.positions[keep] - sensors.positions[held]
-        geometry = np.column_stack((2.0 * local, np.full(n + 1, -1.0)))
-        try:
-            return held, keep, local, linalg.least_squares_solve(geometry, np.eye(n + 1))
-        except RankDeficient:
-            continue
-    raise NotSpanning("no n+1 of the sensors affinely span the ambient space")
+    factor = sensors._factor
+    if factor is None:
+        raise NotSpanning("no n+1 of the sensors affinely span the ambient space")
+    keep = list(factor.block)
+    held = next(i for i in range(sensors.count) if i not in keep)
+    local = sensors.positions[keep] - sensors.positions[held]
+    return held, keep, local, factor.local_inverse()
 
 
 def _predict(prefixes, inverse, local, diameter, disc_tol):
@@ -403,12 +405,13 @@ def match_events(
     """Sweep a reception table and recover the emission events behind it.
 
     Requires one time list per sensor and m = n+2 sensors, so that accepted
-    tuples determine events.  One sensor is held out (:func:`_held_out`)
-    and the window walk runs over the other n+1, whose tuples are the
-    prefixes.  Each prefix's reduced quadratic, the n+1-sensor closed form
-    of :func:`solve`, predicts the held-out arrival of every non-spurious
-    root; the prediction picks the held-out arrivals within tau of it.  tau
-    is 1e-2 max(``config.residual_threshold``, 1e-6) (diameter + span), 1e-8
+    tuples determine events.  The layout is factored once, which holds one
+    sensor out (:func:`_held_out`); the window walk takes it last, and the
+    tuples of the other n+1 are the prefixes.  Each prefix's reduced
+    quadratic, the n+1-sensor closed form of :func:`solve`, predicts the
+    held-out arrival of every non-spurious root; the prediction picks the
+    held-out arrivals within tau of it.  tau is 1e-2
+    max(``config.residual_threshold``, 1e-6) (diameter + span), 1e-8
     (diameter + span) at the default threshold, so timing noise of more than
     about 1e-9 of that scale needs a higher threshold.  A prefix whose root
     is too ill-conditioned to predict from (a near-linear, nearly flat or
@@ -416,9 +419,9 @@ def match_events(
     within tau.  The picked tuples are screened: one is accepted when its
     relation residual is at most ``config.residual_threshold``.  Only with
     ``_screen_all`` set, as :func:`echolat.acoustics.goodness_check` does
-    for its margin, does a prediction with none within tau also pick the
-    one arrival nearest it in the window; that tuple cannot be accepted,
-    and its residual counts towards ``rejected_floor``.
+    for its margin, does a prediction with none within tau also pick the one
+    arrival nearest it in the window; that tuple cannot be accepted, and its
+    residual counts towards ``rejected_floor``.
 
     Each accepted tuple is multilaterated and its non-spurious candidates
     become detected events.  Ambiguous tuples (two viable candidates)
@@ -444,6 +447,7 @@ def match_events(
             f"product of reception-list sizes is {product}, budget is {config.budget}"
         )
     held, keep, local, inverse = _held_out(sensors)
+    order = keep + [held]
 
     dist = sensors.pairwise_distances()
     dist2 = dist * dist
@@ -452,9 +456,7 @@ def match_events(
     tau = 1e-2 * max(config.residual_threshold, 1e-6) * scale
     disc_tol = 1e-12 * scale * scale
     arrivals = table.times[held]
-    to_held = dist[keep, held]
-    prefix_dist = dist[np.ix_(keep, keep)]
-    prefix_diameter = prefix_dist.max()
+    prefix_diameter = dist[np.ix_(keep, keep)].max()
     found: list[DetectedEvent] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     accepted: list[tuple[tuple[float, ...], float]] = []
@@ -462,11 +464,8 @@ def match_events(
     evaluated = 0
     dropped_ambiguous = 0
 
-    prefix_lists = tuple(table.times[i] for i in keep)
-    for prefixes in _walk(prefix_lists, prefix_dist, slack):
-        wlo = np.searchsorted(arrivals, (prefixes - to_held).max(axis=1) - slack, side="left")
-        whi = np.searchsorted(arrivals, (prefixes + to_held).min(axis=1) + slack, side="right")
-        whi = np.maximum(whi, wlo)
+    walk = _walk(tuple(table.times[i] for i in order), dist[np.ix_(order, order)], slack)
+    for prefixes, wlo, whi in walk:
         evaluated += int((whi - wlo).sum())
         predicted, fragile = _predict(prefixes, inverse, local, prefix_diameter, disc_tol)
         which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau, _screen_all)
@@ -479,10 +478,6 @@ def match_events(
         hits = near & (residuals <= config.residual_threshold)
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
-        if hits.any():
-            # Factor the layout once (kept on ``sensors``): every accepted row
-            # is solved on it, so ``solve`` reuses the factor.
-            _ = sensors._factor
         for row, residual in zip(rows[hits], residuals[hits].tolist()):
             source = tuple(row.tolist())
             accepted.append((source, residual))

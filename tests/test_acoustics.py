@@ -57,6 +57,28 @@ def test_wall_validation():
         el.Wall([1.0, np.nan], 1.0)
     with pytest.raises(el.ValidationError):
         el.Wall([1.0, 0.0], np.inf)
+    # the offset over the normal's length is past the double range
+    for normal, offset in (([1e-300, 0.0], 1e300), ([5e-324, 0.0], 1.0)):
+        with pytest.raises(el.ValidationError, match="overflows"):
+            el.Wall(normal, offset)
+
+
+@pytest.mark.parametrize(
+    ("normal", "offset", "unit", "distance"),
+    [
+        ([1e155, 0.0, 0.0], 1.0, [1.0, 0.0, 0.0], 1e-155),
+        ([1e160, 1e160, 0.0], 1e160, [0.7071067811865475, 0.7071067811865475, 0.0],
+         0.7071067811865475),
+        ([1e-200, 0.0, 0.0], 1.0, [1.0, 0.0, 0.0], 1e200),
+        ([0.0, -5e-324], 0.0, [0.0, 1.0], 0.0),
+        ([1e308, 1e308], 1.7e308, [0.7071067811865475, 0.7071067811865475], 1.2020815280171306),
+    ],
+)
+def test_wall_normals_past_the_squared_range(normal, offset, unit, distance):
+    # The squared norm of each normal under- or overflows a double.
+    wall = el.Wall(normal, offset)
+    assert wall.normal.tolist() == unit
+    assert wall.offset == distance
 
 
 def test_signed_distance():
@@ -192,13 +214,15 @@ def test_simulate_rejects_fractional_indices():
 
 def test_one_match_factors_the_layout_once(monkeypatch):
     room, sensors = shoebox()
-    builds, solves = [], []
-    build, solve = linalg.exact_factor, matching.solve
+    builds, solves, lstsq = [], [], []
+    build, solve, least_squares = linalg.exact_factor, matching.solve, linalg.least_squares_solve
     monkeypatch.setattr(linalg, "exact_factor", lambda a: builds.append(a) or build(a))
     monkeypatch.setattr(matching, "solve", lambda *args, **kw: solves.append(args) or solve(*args, **kw))
+    monkeypatch.setattr(linalg, "least_squares_solve",
+                        lambda a, b: lstsq.append(a) or least_squares(a, b))
     report = el.match_events(sensors, el.simulate_echoes(room, sensors, include_direct=True))
     assert len(report.events) == len(solves) == 7
-    assert len(builds) == 1
+    assert (len(builds), len(lstsq)) == (1, 0)
 
 
 def test_detect_walls_shoebox():
@@ -355,8 +379,10 @@ def test_goodness_margin_undefined_for_single_source():
 
 def test_goodness_validation():
     room, sensors = shoebox()
-    with pytest.raises(el.ValidationError):
-        el.goodness_check(room, sensors, trials=-1)
+    for bad in ({"trials": -1}, {"trials": 2.5}, {"trials": "3"}, {"rng_seed": -1},
+                {"rng_seed": 1.0}, {"rng_seed": None}):
+        with pytest.raises(el.ValidationError):
+            el.goodness_check(room, sensors, **bad)
     with pytest.raises(el.DimensionMismatch):
         el.goodness_check(room, el.SensorArray([[0.0, 1.0], [1.0, 0.0]]))
 

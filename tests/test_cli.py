@@ -255,6 +255,20 @@ def test_exit_2_on_parse_and_validation_problems(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check-geometry", str(huge))
     assert code == 2 and out == "" and "speed: not a finite double" in err
 
+    code, out, err = run_cli(capsys, "goodness", scenario("shoebox_3d"), "--seed", "-1")
+    assert code == 2 and out == "" and "rng_seed" in err
+
+    doc = json.loads(Path(scenario("shoebox_3d")).read_text())
+    doc["room"]["walls"][0] = {"normal": [1e-300, 0, 0], "offset": 1e300}
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(wide))
+    assert code == 2 and out == "" and "wall offset" in err
+    doc["room"]["walls"][0] = {"normal": [1e160, 0, 0], "offset": 1e160}
+    wide.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(wide))
+    assert code == 0 and err == ""
+
 
 @pytest.mark.parametrize(
     "flags",

@@ -328,29 +328,39 @@ def test_far_offset_spanning_sensors_are_solved(seed, count):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(2, 4), st.sampled_from([1, 2]), st.floats(0.0, 1e6), st.integers(0, 2**32 - 1))
-def test_square_solves_are_the_correctly_rounded_exact_solution(n, extra, offset, seed):
-    # n+2 sensors: the bordered system of the full-rank path; n+1 sensors:
-    # G against 2 t and against ||a||^2 - t^2, as on the quadratic path.
+@given(st.integers(2, 4), st.floats(0.0, 1e6), st.integers(0, 2**32 - 1))
+def test_square_solves_are_the_correctly_rounded_exact_solution(n, offset, seed):
+    # n+2 sensors: the bordered system of the full-rank path.
     rng = np.random.default_rng(seed)
     shift = offset * rng.uniform(-1.0, 1.0, n)
-    sensors = el.SensorArray(rng.uniform(-1.0, 1.0, (n + extra, n)) + shift)
+    sensors = el.SensorArray(rng.uniform(-1.0, 1.0, (n + 2, n)) + shift)
     event = el.EmissionEvent(rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0, n) + shift)
-    times = el.event_arrivals(sensors, event) + rng.choice([0.0, 1e-3]) * rng.standard_normal(n + extra)
+    times = el.event_arrivals(sensors, event) + rng.choice([0.0, 1e-3]) * rng.standard_normal(n + 2)
     amat = el.measurement_matrix(sensors, times)
     rhs = lateration._rhs(sensors, times)
-    if extra == 2:
-        systems = [(amat, rhs)]
-        got = [sensors._factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())]
-        if linalg.numeric_rank(amat) == n + 2:  # solve takes the full-rank path
-            event = el.solve(sensors, times).candidates[0].event
-            assert [event.time, *event.position.tolist()] == got[0][: n + 1]
-    else:
-        systems = [(amat[:, 1:], 2.0 * times), (amat[:, 1:], rhs)]
-        got = sensors._factor.solve([b.tolist() for _, b in systems])
-    for x, (a, b) in zip(got, systems):
-        assert x == [float(e) for e in frac_solve(a.tolist(), b.tolist())]
-        assert x == linalg.least_squares_solve(a, b).tolist()
+    got = sensors._factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
+    if linalg.numeric_rank(amat) == n + 2:  # solve takes the full-rank path
+        event = el.solve(sensors, times).candidates[0].event
+        assert [event.time, *event.position.tolist()] == got[: n + 1]
+    assert got == [float(e) for e in frac_solve(amat.tolist(), rhs.tolist())]
+    assert got == linalg.least_squares_solve(amat, rhs).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.floats(0.0, 1e6), st.integers(0, 2**32 - 1))
+def test_local_inverse_is_the_correctly_rounded_exact_inverse(n, offset, seed):
+    # The inverse of the exact (2 (a_i - a_h), -1) over the factor's block,
+    # with a_h the sensor the block leaves out; a_i - a_h is not rounded.
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.uniform(-1.0, 1.0, n)
+    positions = rng.uniform(-1.0, 1.0, (n + 2, n)) * rng.choice([1.0, 3.7, 0.3]) + shift
+    factor = el.SensorArray(positions)._factor
+    held = next(i for i in range(n + 2) if i not in factor.block)
+    local = [[2 * (F(x) - F(h)) for x, h in zip(positions[i].tolist(), positions[held].tolist())]
+             + [F(-1)] for i in factor.block]
+    unit = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
+    want = np.array([[float(e) for e in frac_solve(local, col)] for col in unit]).T
+    assert factor.local_inverse().tolist() == want.tolist()
 
 
 def test_exactly_singular_systems_raise_as_before(monkeypatch):
@@ -371,8 +381,9 @@ def test_exactly_singular_systems_raise_as_before(monkeypatch):
 
 @pytest.mark.parametrize("count", [3, 4])
 def test_solve_uses_the_factor_only_once_a_caller_built_it(monkeypatch, count):
-    # A lone solve on a fresh layout pays no factor build; once the layout
-    # is factored, its square solves no longer reach least_squares_solve.
+    # A lone solve on a fresh layout pays no factor build.  Once n+2 sensors
+    # are factored, their full-rank solves no longer reach
+    # least_squares_solve; n+1 sensors have no factor and always reach it.
     builds, lstsq = [], []
     build, least_squares = linalg.exact_factor, linalg.least_squares_solve
     monkeypatch.setattr(linalg, "exact_factor", lambda a: builds.append(a) or build(a))
@@ -382,9 +393,10 @@ def test_solve_uses_the_factor_only_once_a_caller_built_it(monkeypatch, count):
     times = el.event_arrivals(sensors, el.EmissionEvent(0.25, [0.4, 0.3]))
     first = el.solve(sensors, times)
     assert (len(builds), len(lstsq)) == (0, 1)
-    assert sensors._factor is not None
+    if count == 4:
+        assert sensors._factor is not None
     second = el.solve(sensors, times)
-    assert (len(builds), len(lstsq)) == (1, 1)
+    assert (len(builds), len(lstsq)) == ((1, 1) if count == 4 else (0, 2))
 
     def digits(result):
         return result.path, [(c.event.time, c.event.position.tolist(), c.spurious)

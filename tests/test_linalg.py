@@ -119,9 +119,9 @@ def test_least_squares_with_known_rank():
 
 
 def test_exact_factor_shapes_rank_and_null_vector():
-    with pytest.raises(ValueError):
-        exact_factor(np.ones((3, 1)))
-    assert exact_factor([[1.0, 2.0], [2.0, 4.0]]) is None
+    for shape in ((3, 1), (2, 2)):
+        with pytest.raises(ValueError):
+            exact_factor(np.ones(shape))
     # every 2-row block is singular, so no block can be factored
     assert exact_factor([[1.0, 2.0], [2.0, 4.0], [-3.0, -6.0]]) is None
     # the first two rows are dependent, so the block cannot drop the last row

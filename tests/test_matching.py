@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import functools
+import hashlib
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echolat as el
-from echolat import acoustics, lateration, linalg, matching
+from echolat import acoustics, lateration, matching
 from echolat.cli import main
 from conftest import AMBIGUOUS_3D, dataset_times, random_sensors, sensor_array
 from oracles import dedup_events, prediction_screen, screen_rows, survivor_blocks
@@ -285,7 +290,12 @@ def _survivors(sensors, table):
     """The tuples the match's window walk hands to the screen."""
     slack = matching._default_slack(sensors, table)
     blocks = matching._walk(table.times, sensors.pairwise_distances(), slack)
-    return [tuple(row) for block in blocks for row in block.tolist()]
+    return [
+        tuple(prefix) + (value,)
+        for prefixes, lo, hi in blocks
+        for prefix, a, b in zip(prefixes.tolist(), lo.tolist(), hi.tolist())
+        for value in table.times[-1][a:b].tolist()
+    ]
 
 
 @functools.cache
@@ -408,11 +418,13 @@ def test_prediction_does_not_depend_on_the_prefix_layout(scene):
         sensors, _, table = _flat_scene(1e-5)
     else:
         sensors, _, table, _ = _dense_scene(int(scene[-1]))
-    _, keep, local, inverse = matching._held_out(sensors)
-    dist = sensors.pairwise_distances()[np.ix_(keep, keep)]
+    held, keep, local, inverse = matching._held_out(sensors)
+    order = keep + [held]
     slack = matching._default_slack(sensors, table)
-    prefixes = np.concatenate(list(matching._walk(tuple(table.times[i] for i in keep),
-                                                  dist, slack)))
+    walk = matching._walk(tuple(table.times[i] for i in order),
+                          sensors.pairwise_distances()[np.ix_(order, order)], slack)
+    prefixes = np.concatenate([block for block, _, _ in walk])
+    dist = sensors.pairwise_distances()[np.ix_(keep, keep)]
     scale = sensors.diameter() + table.span()
     outputs = [matching._predict(layout(prefixes), inverse, local, dist.max(), 1e-12 * scale**2)
                for layout in (np.ascontiguousarray, np.asfortranarray)]
@@ -627,8 +639,8 @@ def test_dedup_matches_the_reference_loop(seed):
 
 
 def test_dense_scene_events_match_least_squares_solves(monkeypatch):
-    # Every accepted row is solved through the layout's cached factor; with
-    # no factor, solve falls back to least_squares_solve row by row.
+    # Every accepted row is solved through the layout's cached factor; when
+    # solve sees no factor, it falls back to least_squares_solve row by row.
     rng = np.random.default_rng(2207)
     while True:
         sensors = random_sensors(rng, 5, 3)
@@ -640,7 +652,7 @@ def test_dense_scene_events_match_least_squares_solves(monkeypatch):
     config = el.MatchConfig(budget=table.product_size())
     report = el.match_events(sensors, table, config)
     assert sensors._factor is not None
-    monkeypatch.setattr(linalg, "exact_factor", lambda a: None)
+    monkeypatch.setattr(lateration, "_built_factor", lambda sensors: None)
     reference = el.match_events(el.SensorArray(sensors.positions), table, config)
 
     def digits(rep):
@@ -685,20 +697,98 @@ def test_walk_matches_the_reference_walk(scene, slack, chunk_rows):
     arrays = el.ReceptionTable.from_lists(lists).times
 
     want_counts = {"pruned": 0}
-    want = [
-        tuple(prefix.tolist()) + (value,)
-        for prefix, lo, hi in survivor_blocks(arrays, dist, slack, want_counts)
-        for value in arrays[-1][lo:hi].tolist()
-    ]
+    want = [(tuple(prefix.tolist()), lo, hi)
+            for prefix, lo, hi in survivor_blocks(arrays, dist, slack, want_counts)]
     with pytest.MonkeyPatch.context() as mp:
         if chunk_rows is not None:
             mp.setattr(matching, "_CHUNK_ROWS", chunk_rows)
         limit = max(matching._CHUNK_ROWS, *(arr.size for arr in arrays))
         blocks = list(matching._walk(arrays, dist, slack))
-    assert all(0 < block.shape[0] <= limit for block in blocks)
-    assert all(block.shape[1] == len(arrays) for block in blocks)
-    assert all(block.flags.f_contiguous for block in blocks)
-    got = [tuple(row) for block in blocks for row in block.tolist()]
+    assert all(0 < block.shape[0] <= limit for block, _, _ in blocks)
+    assert all(block.shape[1] == len(arrays) - 1 for block, _, _ in blocks)
+    assert all(block.flags.f_contiguous for block, _, _ in blocks)
+    assert all((hi >= lo).all() for _, lo, hi in blocks)
+    got = [
+        (tuple(prefix), a, b)
+        for block, lo, hi in blocks
+        for prefix, a, b in zip(block.tolist(), lo.tolist(), hi.tolist())
+        if b > a
+    ]
     assert got == want
     # match_events reports the product minus the screened rows as pruned
-    assert math.prod(arr.size for arr in arrays) - len(got) == want_counts["pruned"]
+    screened = sum(int((hi - lo).sum()) for _, lo, hi in blocks)
+    assert math.prod(arr.size for arr in arrays) - screened == want_counts["pruned"]
+
+
+MATCH_GOLDEN = Path(__file__).resolve().parent / "match_golden.json"
+MATCH_GOLDEN_CASES = [f"{kind} {seed}" for kind in ("uniform", "scaled", "rotated")
+                      for seed in (range(8) if kind == "uniform" else range(4))]
+
+
+def _golden_match_scene(case: str):
+    """5 sensors and 60 events in [-1, 1]^3 over 20 time units, as drawn or moved.
+
+    ``scaled`` multiplies every coordinate and time by 3.7 and ``rotated``
+    turns the scene by a fixed rotation with entries off the 2**-52 grid,
+    so the sensor differences a_i - a_h are no longer exact.
+    """
+    kind, seed = case.split()
+    rng = np.random.default_rng(int(seed))
+    while True:
+        positions = rng.uniform(-1.0, 1.0, (5, 3))
+        geometry = el.check_geometry(el.SensorArray(positions))
+        if geometry.noncoplanar and geometry.condition_ok:
+            break
+    times, points = rng.uniform(0.0, 20.0, 60), rng.uniform(-1.0, 1.0, (60, 3))
+    if kind == "scaled":
+        positions, points, times = 3.7 * positions, 3.7 * points, 3.7 * times
+    elif kind == "rotated":
+        # rotations by the angles of the triangles (3, 4, 5) and (5, 12, 13)
+        turn = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+        tilt = np.array([[1.0, 0.0, 0.0], [0.0, 5 / 13, -12 / 13], [0.0, 12 / 13, 5 / 13]])
+        rot = (turn[:, :, None] * tilt[None, :, :]).sum(axis=1)
+        positions = (positions[:, None, :] * rot[None, :, :]).sum(axis=2)
+        points = (points[:, None, :] * rot[None, :, :]).sum(axis=2)
+    sensors = el.SensorArray(positions)
+    events = [el.EmissionEvent(t, p) for t, p in zip(times.tolist(), points)]
+    return sensors, el.ReceptionTable.from_events(sensors, events)
+
+
+def _report_digest(report) -> str:
+    """sha256 over every field of a MatchReport, floats by ``.hex()``."""
+    def plain(value):
+        if dataclasses.is_dataclass(value):
+            return [plain(getattr(value, f.name)) for f in dataclasses.fields(value)]
+        if isinstance(value, np.ndarray):
+            return plain(value.tolist())
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        if isinstance(value, float):
+            return value.hex()
+        return value.value if isinstance(value, enum.Enum) else value
+
+    return hashlib.sha256(json.dumps(plain(report)).encode()).hexdigest()
+
+
+def _golden_match_digests(case: str) -> dict:
+    sensors, table = _golden_match_scene(case)
+    config = el.MatchConfig(budget=table.product_size())
+    return {f"screen_all={flag}": _report_digest(
+                el.match_events(el.SensorArray(sensors.positions), table, config, _screen_all=flag))
+            for flag in (False, True)}
+
+
+def test_match_output_matches_the_recorded_golden():
+    # Regenerate with ``PYTHONPATH=src python tests/test_matching.py >
+    # tests/match_golden.json``, only in a change meant to alter the output.
+    # Residual digits depend on the BLAS kernel, so this pins one machine.
+    golden = json.loads(MATCH_GOLDEN.read_text())
+    assert list(golden) == MATCH_GOLDEN_CASES
+    for case in MATCH_GOLDEN_CASES:
+        assert _golden_match_digests(case) == golden[case], case
+
+
+if __name__ == "__main__":
+    json.dump({case: _golden_match_digests(case) for case in MATCH_GOLDEN_CASES},
+              sys.stdout, indent=1)
+    sys.stdout.write("\n")
