@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateMirror, DimensionMismatch, ValidationError
 from .lateration import EmissionEvent, SensorArray, event_arrivals
 from .linalg import fsum_dot
-from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, match_events
+from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, _index, match_events
 
 #: Components of a unit normal smaller than this are treated as zero when
 #: choosing the canonical orientation, so that tiny numerical noise cannot
@@ -39,6 +39,17 @@ _ORIENT_EPS = 1e-9
 #: the source determines no wall, and an event this close to the source is
 #: the direct sound.
 _MIRROR_EPS = 1e-9
+
+
+def _scaled(vec: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``vec * 2**-e``, its Euclidean length and ``e``.
+
+    The power of two puts the largest component in [1/2, 1), so the scaling
+    is exact and the squared length cannot leave the double range.
+    """
+    exponent = math.frexp(float(np.abs(vec).max(initial=0.0)))[1]
+    vec = np.ldexp(vec, -exponent)
+    return vec, math.sqrt(fsum_dot(vec.tolist(), vec.tolist())), exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +69,7 @@ class Wall:
         vec = np.array(self.normal, dtype=float).reshape(-1)
         if vec.size < 2 or not np.isfinite(vec).all() or not np.isfinite(self.offset):
             raise ValidationError("wall needs a finite normal (dim >= 2) and offset")
-        # Scaling both by one power of two is exact and puts the largest
-        # component in [1/2, 1), so the squared norm cannot leave the double range.
-        exponent = math.frexp(float(np.abs(vec).max()))[1]
-        vec = np.ldexp(vec, -exponent)
-        length = math.sqrt(fsum_dot(vec.tolist(), vec.tolist()))
+        vec, length, exponent = _scaled(vec)  # the offset is scaled by the same power of two
         if length == 0.0:
             raise ValidationError("wall normal must be nonzero")
         vec = vec / length
@@ -106,18 +113,22 @@ def wall_from_mirror(source, mirror) -> Wall:
 
     That is the perpendicular bisector plane of the segment between them.
     Raises :class:`DegenerateMirror` when the two points are closer than
-    1e-9, since then no plane is determined.
+    1e-9, since then no plane is determined, and :class:`ValidationError`
+    when a coordinate, or the gap between the points, is not finite.
     """
     src = np.asarray(source, dtype=float).reshape(-1)
     mir = np.asarray(mirror, dtype=float).reshape(-1)
     if src.shape != mir.shape:
         raise DimensionMismatch(f"source {src.shape} and mirror {mir.shape} differ")
-    gap = mir - src
-    length = math.sqrt(fsum_dot(gap.tolist(), gap.tolist()))
-    if length <= _MIRROR_EPS:
-        raise DegenerateMirror(f"mirror point is only {length:g} away from the source")
+    gap = [m - s for m, s in zip(mir.tolist(), src.tolist())]  # inf on overflow, no numpy warning
+    if not all(map(math.isfinite, gap)):
+        raise ValidationError("source and mirror must be finite and less than a double apart")
+    gap, length, exponent = _scaled(np.array(gap))
+    # A gap of 1/2 or more is never degenerate; below that the true length cannot overflow.
+    if exponent <= 0 and (distance := math.ldexp(length, exponent)) <= _MIRROR_EPS:
+        raise DegenerateMirror(f"mirror point is only {distance:g} away from the source")
     normal = gap / length
-    offset = fsum_dot(normal.tolist(), ((src + mir) / 2.0).tolist())
+    offset = fsum_dot(normal.tolist(), (src / 2.0 + mir / 2.0).tolist())
     return Wall(normal, offset)
 
 
@@ -192,8 +203,8 @@ def simulate_echoes(
         raise DimensionMismatch(f"sensors have dimension {sensors.dim}, room {room.dim}")
     events = _emitters(room, emission_time, include_direct)
     dropout = tuple(dropout)
-    if any(wall_index >= len(room.walls) for wall_index, _ in dropout):  # not the direct sound
-        raise ValidationError(f"dropout names a wall past the room's {len(room.walls)} walls")
+    for wall_index, _ in dropout:  # a wall, not the direct sound
+        _index(wall_index, len(room.walls), "dropout wall")
     return ReceptionTable.from_events(sensors, events, dropout=dropout, spurious=spurious)
 
 

@@ -2,8 +2,9 @@
 
 Every subcommand takes a scenario (JSON) plus tuning flags and prints a
 deterministic plain-text report; ``--output DIR`` additionally writes CSV
-tables.  Exit codes: 0 success, 2 for scenario parse/validation problems,
-3 when a computation fails numerically.
+tables.  Exit codes: 0 success, 2 for scenario parse/validation problems
+and an ``--output`` that cannot be written, 3 when a computation fails
+numerically.
 """
 
 from __future__ import annotations
@@ -318,9 +319,12 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         report = run(args.command, scenario, args)
         if args.output is not None:
-            args.output.mkdir(parents=True, exist_ok=True)
-            for name, content in report.csv_files.items():
-                (args.output / name).write_text(content)
+            try:
+                args.output.mkdir(parents=True, exist_ok=True)
+                for name, content in report.csv_files.items():
+                    (args.output / name).write_text(content)
+            except OSError as exc:
+                raise ValidationError(f"cannot write --output: {exc}") from exc
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

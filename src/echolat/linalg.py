@@ -7,12 +7,15 @@ degenerate leading coefficients.
 
 Only :func:`numeric_rank` decides a rank, with numpy's SVD: singular
 values against a relative cutoff.  The steps that produce digits do not go
-through BLAS or LAPACK: :func:`least_squares_solve` solves exactly in
-integer arithmetic, refusing only exactly dependent columns, and rounds
-once; :func:`exact_factor` does the same elimination once for a (k+1) x k
-matrix, so that each later solve on it is a few integer dot products; and
-:func:`fsum_dot` rounds a dot product once with :func:`math.fsum`.  Their
-results are the same under every BLAS kernel and on every IEEE-754
+through BLAS or LAPACK, and they share one recipe: the floats they read
+become integers scaled by one common power of two (every double is an
+integer times a power of two), the work is done exactly in integers, and
+each result is rounded once, by one correctly rounded integer division.
+:func:`least_squares_solve` eliminates with Bareiss' fraction-free method,
+refusing only exactly dependent columns; :func:`exact_factor` does that
+elimination once for a (k+1) x k matrix, so that each later solve on it is
+a few integer dot products; :func:`fsum_dot` is one integer dot product.
+Their results are the same under every BLAS kernel and on every IEEE-754
 machine.  :func:`hadamard_ratio` still calls ``np.linalg.det``.
 """
 
@@ -21,8 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul, sub
+from operator import mul
 
 import numpy as np
 
@@ -71,9 +73,12 @@ def least_squares_solve(a, b) -> np.ndarray:
 
     The solution is computed exactly, in integer arithmetic, and rounded
     once: it is the correctly rounded least-squares solution of the given
-    floats, the same on every machine and under every BLAS library.  The
-    cost grows steeply with the column count; the solve is meant for the
-    small systems the solvers build (at most a few dozen columns).
+    floats, the same on every machine and under every BLAS library.  ``[a |
+    b]`` becomes integers with one common scale, which cancels; a tall
+    system is replaced by its normal equations, which are exact in
+    integers; :func:`_bareiss` solves the square system.  The cost grows
+    steeply with the column count; the solve is meant for the small
+    systems the solvers build (at most a few dozen columns).
     """
     arr = _as_matrix(a)
     rhs = np.asarray(b, dtype=float)
@@ -84,26 +89,21 @@ def least_squares_solve(a, b) -> np.ndarray:
     if arr.shape[0] < arr.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {arr.shape}")
     augmented = np.concatenate((arr, rhs[:, None] if rhs.ndim == 1 else rhs), axis=1)
-    solutions = _exact_lstsq(augmented, arr.shape[1])
+    n, width = arr.shape[1], augmented.shape[1]
+    ints, _ = _integers(augmented.ravel().tolist())  # the common scale cancels
+    rows = [ints[i * width : (i + 1) * width] for i in range(len(augmented))]
+    if len(rows) > n:
+        cols = list(zip(*rows))
+        rows = [[_dot(ci, cj) for cj in cols] for ci in cols[:n]]
+    det, solutions = _bareiss(rows, n, width)
+    rounded = [[_quotient(e, det, 0) for e in x] for x in solutions]
     if rhs.ndim == 1:
-        return np.array(solutions[0])
-    return np.array(solutions).reshape(rhs.shape[1], arr.shape[1]).T
-
-
-def _integer_rows(arr: np.ndarray) -> list[list[int]]:
-    """The rows of ``arr`` as integers, all scaled by one power of two."""
-    mantissa, exponent = np.frexp(arr)
-    ints = (mantissa * 9007199254740992.0).astype(np.int64).tolist()  # times 2**53
-    shifts = (exponent - exponent.min(initial=0)).tolist()  # initial: allow empty
-    return [[i << s for i, s in zip(irow, srow)] for irow, srow in zip(ints, shifts)]
+        return np.array(rounded[0])
+    return np.array(rounded).reshape(rhs.shape[1], n).T
 
 
 def _integers(values: list[float]) -> tuple[list[int], int]:
-    """Integers ``k`` and one exponent ``e`` with ``values[i] == k[i] * 2**e`` exactly.
-
-    For the short vectors of :class:`ExactFactor`; :func:`_integer_rows` is
-    faster on a whole matrix.
-    """
+    """Integers ``k`` and one exponent ``e`` with ``values[i] == k[i] * 2**e`` exactly."""
     ratios = [value.as_integer_ratio() for value in values]
     # Every denominator is a power of two; scale all to the largest.
     top = max([den for _, den in ratios], default=1).bit_length()
@@ -121,24 +121,6 @@ def _quotient(num: int, den: int, exponent: int) -> float:
 
 def _dot(x, y) -> int:
     return sum(map(mul, x, y))
-
-
-def _exact_lstsq(augmented: np.ndarray, n: int) -> list[list[float]]:
-    """Correctly rounded least-squares solutions for ``augmented = [A | B]``.
-
-    ``A`` has ``n`` columns and full column rank.  Its entries and those of
-    ``B`` become integers (one common scale, which cancels); a tall system
-    is replaced by its normal equations, which are exact in integers.  The
-    square system is solved by :func:`_bareiss`, and each solution
-    component ``X_i / det`` is rounded once by Python's correctly rounded
-    integer division.
-    """
-    rows = _integer_rows(augmented)
-    if len(rows) > n:
-        cols = list(zip(*rows))
-        rows = [[sum(map(mul, ci, cj)) for cj in cols] for ci in cols[:n]]
-    det, solutions = _bareiss(rows, n, augmented.shape[1])
-    return [[e / det + 0.0 for e in x] for x in solutions]  # +0.0 scrubs negative zeros
 
 
 def _bareiss(rows: list[list[int]], n: int, width: int) -> tuple[int, list[list[int]]]:
@@ -206,16 +188,16 @@ class ExactFactor:
         column``, each scaled to integers so that one division rounds each
         component.
         """
-        c, c_exp = _integers(column)
-        b, b_exp = _integers(rhs)
+        ints, exponent = _integers([*column, *rhs])  # the common scale cancels in t
+        c, b = ints[: len(column)], ints[len(column) :]
         t_den = _dot(self.null, c)
         if not t_den:
             return None
         t_num = _dot(self.null, b)
         reduced = [b[i] * t_den - c[i] * t_num for i in self.block]
         den = self.det * t_den
-        shift = b_exp - self.exponent
-        return [_quotient(t_num, t_den, b_exp - c_exp)] + [
+        shift = exponent - self.exponent
+        return [_quotient(t_num, t_den, 0)] + [
             _quotient(_dot(row, reduced), den, shift) for row in self.adjugate
         ]
 
@@ -260,34 +242,19 @@ def exact_factor(a) -> ExactFactor | None:
     return None
 
 
-#: Veltkamp's splitting constant 2**27 + 1 for binary64.
-_SPLITTER = 134217729.0
-
-
-def _split(values: list[float]) -> tuple[list[float], list[float]]:
-    """Split each value into ``hi + lo`` (exactly), each of at most 26 bits.
-
-    The product of two halves then fits in 53 bits and is exact, which is
-    what Dekker's exact product rests on.
-    """
-    scaled = [_SPLITTER * value for value in values]
-    hi = [s - (s - value) for s, value in zip(scaled, values)]
-    return hi, list(map(sub, values, hi))
-
-
 def fsum_dot(x: list[float], y: list[float], addend: float = 0.0) -> float:
-    """Correctly rounded ``sum(x_i * y_i) + addend`` of Python floats.
+    """Correctly rounded ``sum(x_i * y_i) + addend`` of finite Python floats.
 
-    Each product is split into four exact partial products, which
-    :func:`math.fsum` adds without intermediate rounding.  That holds while
-    each nonzero product ``x_i * y_i`` lies between about 1e-290 and 1e300
-    in magnitude, so that no partial product underflows or overflows.
+    The sum is exact in integers and rounded once, over the whole finite
+    range: a result past the largest double is ``±inf``.
     """
-    xh, xl = _split(x)
-    yh, yl = (xh, xl) if y is x else _split(y)
-    return math.fsum(
-        chain(map(mul, xh, yh), map(mul, xh, yl), map(mul, xl, yh), map(mul, xl, yl), (addend,))
-    )
+    ints, exponent = _integers([addend, *x] if y is x else [addend, *x, *y])
+    xs = ints[1 : len(x) + 1]
+    total = _dot(xs, xs if y is x else ints[len(x) + 1 :]) + (ints[0] << -exponent)
+    try:
+        return _quotient(total, 1, 2 * exponent)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def hadamard_ratio(stack) -> np.ndarray:

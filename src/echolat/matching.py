@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterator
 
 import numpy as np
@@ -137,9 +138,10 @@ class MatchConfig:
     ``keep_ambiguous`` set, tuples whose solve yields two viable candidates
     contribute both (flagged); otherwise they are dropped and counted.
     ``budget`` caps the product of the reception-list sizes, and
-    ``rank_tol`` is passed to :func:`solve`.  A threshold that is negative
-    or not finite, a ``rank_tol`` outside (0, 1) or a budget that is
-    negative or NaN raises :class:`ValidationError`.
+    ``rank_tol`` is passed to :func:`solve`.  A threshold that is not a
+    finite real >= 0, a ``rank_tol`` that is not a real in (0, 1) or a
+    budget that is not a real >= 0 (NaN included) raises
+    :class:`ValidationError`.
     """
 
     residual_threshold: float = 1e-6
@@ -148,14 +150,13 @@ class MatchConfig:
     rank_tol: float = linalg.DEFAULT_RANK_TOL
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.residual_threshold) and self.residual_threshold >= 0.0):
-            raise ValidationError(
-                f"residual_threshold must be finite and >= 0, got {self.residual_threshold}"
-            )
-        if not 0.0 < self.rank_tol < 1.0:
-            raise ValidationError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
-        if not self.budget >= 0:
-            raise ValidationError(f"budget must be >= 0, got {self.budget}")
+        threshold, rank_tol, budget = self.residual_threshold, self.rank_tol, self.budget
+        if not (isinstance(threshold, Real) and math.isfinite(threshold) and threshold >= 0.0):
+            raise ValidationError(f"residual_threshold must be finite and >= 0, got {threshold}")
+        if not (isinstance(rank_tol, Real) and 0.0 < rank_tol < 1.0):
+            raise ValidationError(f"rank_tol must lie in (0, 1), got {rank_tol}")
+        if not (isinstance(budget, Real) and budget >= 0):
+            raise ValidationError(f"budget must be >= 0, got {budget}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,6 +122,9 @@ def test_wall_from_mirror_round_trip():
             continue
         recovered = el.wall_from_mirror(src, el.mirror_point(wall, src))
         assert el.same_plane(wall, recovered, 1e-9, 1e-9)
+    # far from the source the squared gap is past the double range
+    far = el.wall_from_mirror([0.0, 0.0, 0.0], [1e160, 0.0, 0.0])
+    assert far.normal.tolist() == [1.0, 0.0, 0.0] and far.offset == 5e159
 
 
 def test_wall_from_mirror_degenerate():
@@ -131,6 +134,9 @@ def test_wall_from_mirror_degenerate():
         el.wall_from_mirror([1.0, 2.0], [1.0, 2.0 + 1e-10])
     with pytest.raises(el.DimensionMismatch):
         el.wall_from_mirror([1.0, 2.0], [1.0, 2.0, 3.0])
+    for source, mirror in (([1.0, 2.0], [np.nan, 2.0]), ([np.inf, 2.0], [1.0, 2.0])):
+        with pytest.raises(el.ValidationError):
+            el.wall_from_mirror(source, mirror)
 
 
 def test_same_plane_compares_up_to_sign():
@@ -201,7 +207,7 @@ def test_simulate_dropout_and_spurious():
 
 def test_simulate_rejects_fractional_indices():
     room, sensors = shoebox()
-    for entries in ([(0.5, 0)], [(0, 1.5)], [(np.float64(1.0), 0)]):
+    for entries in ([(0.5, 0)], [(0, 1.5)], [(np.float64(1.0), 0)], [("a", 0)]):
         with pytest.raises(el.ValidationError):
             el.simulate_echoes(room, sensors, dropout=entries)
     with pytest.raises(el.ValidationError):

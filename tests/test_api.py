@@ -94,3 +94,31 @@ def test_every_import_in_src_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
         assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_helper_in_src_is_used():
+    # A module-level _name that nothing in src/ reads is a leftover: delete it.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = []
+    for filename, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            orphans += [
+                f"{filename}: {name} (line {node.lineno})"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    assert not orphans, f"private names nothing in src/ reads: {orphans}"

@@ -218,6 +218,16 @@ def test_output_csv_files(capsys, tmp_path):
     assert len(receptions) == 1 + 5 * 7
 
 
+def test_output_that_cannot_be_written_exits_2(capsys, tmp_path):
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    for target in (existing, existing / "sub"):
+        code, out, err = run_cli(capsys, "simulate", scenario("shoebox_3d"), "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --output: ") and "Traceback" not in err
+    assert existing.read_text() == "kept\n"
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     code, out_a, _ = run_cli(capsys, "detect-walls", scenario("shoebox_3d"), "--output", str(a_dir))

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import echolat as el
 from echolat.linalg import exact_factor, fsum_dot, hadamard_ratio
@@ -19,6 +20,7 @@ coeff = st.one_of(
     st.floats(min_value=1e-6, max_value=1e6),
     st.floats(min_value=-1e6, max_value=-1e-6),
 )
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def test_numeric_rank_basics():
@@ -97,6 +99,11 @@ def test_least_squares_is_correctly_rounded():
         b = rng.normal(size=rows)
         expected = [float(x) for x in _exact_least_squares(a, b)]
         assert el.least_squares_solve(a, b).tolist() == expected
+        # rows and columns scaled by powers of two from 2**-60 to 2**60
+        row_exp, col_exp = rng.integers(-60, 61, rows), rng.integers(-60, 61, cols)
+        a, b = np.ldexp(a, row_exp[:, None] + col_exp), np.ldexp(b, row_exp)
+        expected = [float(x) for x in _exact_least_squares(a, b)]
+        assert el.least_squares_solve(a, b).tolist() == expected
 
 
 def test_least_squares_several_right_hand_sides():
@@ -135,12 +142,26 @@ def test_exact_factor_shapes_rank_and_null_vector():
     assert x == el.least_squares_solve(a, [1.0, 2.0, 3.0]).tolist()
 
 
-@given(st.lists(coeff, min_size=1, max_size=6), coeff)
-def test_fsum_dot_is_correctly_rounded(x, addend):
-    y = [v * 0.7 - 1.0 for v in reversed(x)]
-    exact = sum(F(a) * F(b) for a, b in zip(x, y)) + F(addend)
-    assert fsum_dot(x, y, addend) == float(exact)
-    assert fsum_dot(x, x) == float(sum(F(a) * F(a) for a in x))
+def _rounded(exact: F) -> float:
+    """``exact`` rounded to the nearest double, +-inf past the largest one."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=6), finite)
+@example([(1e-200, 1e-120)], 0.0)  # a product in the subnormal range
+@example([(3e-170, 7e-160), (-1e-300, 1e-20)], 5e-324)
+@example([(1e300, 1e10), (-1e300, 1e10)], 1.0)  # products past the range cancel
+@example([(1e200, 1e200), (1e200, 1e200)], 0.0)  # past the range: inf
+@example([(-1e300, 1e10)], -1.7e308)
+@example([(1.7e308, 1.0)], 1.7e308)  # two finite terms whose sum overflows
+def test_fsum_dot_is_correctly_rounded(pairs, addend):
+    # the whole finite range: one exact sum, rounded once
+    x, y = (list(v) for v in zip(*pairs))
+    assert fsum_dot(x, y, addend) == _rounded(sum(F(a) * F(b) for a, b in pairs) + F(addend))
+    assert fsum_dot(x, x) == _rounded(sum(F(a) * F(a) for a in x))
 
 
 def test_hadamard_ratio_bounds():

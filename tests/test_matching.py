@@ -548,6 +548,9 @@ def test_config_rejects_bad_values():
         {"rank_tol": math.nan},
         {"budget": -1},
         {"budget": math.nan},
+        {"budget": "x"},
+        {"residual_threshold": "x"},
+        {"rank_tol": "x"},
     ):
         with pytest.raises(el.ValidationError):
             el.MatchConfig(**bad)
