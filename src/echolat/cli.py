@@ -1,10 +1,12 @@
 """Command-line driver: run the solvers against a scenario file.
 
 Every subcommand takes a scenario (JSON) plus tuning flags and prints a
-deterministic plain-text report; ``--output DIR`` additionally writes CSV
-tables.  Exit codes: 0 success, 2 for scenario parse/validation problems
-and an ``--output`` that cannot be written, 3 when a computation fails
-numerically.
+deterministic plain-text report, one common header and then its own
+section; ``--output DIR`` additionally writes CSV tables.  Exit codes: 0
+success, 2 for scenario parse/validation problems (numbers whose squares
+overflow included) and an ``--output`` that cannot be written, 3 when a
+computation fails numerically (a numpy overflow included).  On 2 and 3
+stdout stays empty and stderr holds one line.
 """
 
 from __future__ import annotations
@@ -95,14 +97,12 @@ def _event_rows(dim: int, entries) -> list[list]:
     return rows
 
 
-def _cmd_solve(scenario: Scenario, args) -> Report:
+def _cmd_solve(report: Report, scenario: Scenario, args, config: MatchConfig) -> None:
     table = scenario.reception_table
     if table is None or any(size != 1 for size in table.sizes()):
         raise ValidationError("solve needs a reception_table with exactly one time per sensor")
     times = np.array([arr[0] for arr in table.times])
-    result = solve(scenario.sensors, times, rank_tol=args.rank_tol)
-    report = Report()
-    _header(report, scenario, args)
+    result = solve(scenario.sensors, times, rank_tol=config.rank_tol)
     report.add(f"path: {result.path.value}")
     report.add(f"rank: {result.rank}")
     if result.quadratic is not None:
@@ -119,21 +119,13 @@ def _cmd_solve(scenario: Scenario, args) -> Report:
         )
         entries.append((cand.event.time, cand.event.position, cand.spurious, residual))
     report.csv_files["events.csv"] = _csv(_event_rows(scenario.dimension, entries))
-    return report
 
 
-def _require_table(scenario: Scenario) -> None:
+def _cmd_match(report: Report, scenario: Scenario, args, config: MatchConfig) -> None:
     if scenario.reception_table is None:
         raise ValidationError("this command needs a reception_table in the scenario")
-
-
-def _cmd_match(scenario: Scenario, args) -> Report:
-    _require_table(scenario)
-    outcome = match_events(scenario.sensors, scenario.reception_table, _match_config(args))
-    report = Report()
-    _header(report, scenario, args)
+    outcome = match_events(scenario.sensors, scenario.reception_table, config)
     _match_section(report, scenario, outcome)
-    return report
 
 
 def _match_section(report: Report, scenario: Scenario, outcome) -> None:
@@ -172,17 +164,8 @@ def _simulated_table(scenario: Scenario):
     raise ValidationError("simulation needs a room or events in the scenario")
 
 
-def _scenario_table(scenario: Scenario):
-    """Reception table for room commands: explicit table, else simulated."""
-    if scenario.reception_table is not None:
-        return scenario.reception_table
-    return _simulated_table(scenario)
-
-
-def _cmd_simulate(scenario: Scenario, args) -> Report:
+def _cmd_simulate(report: Report, scenario: Scenario, args, config: MatchConfig) -> None:
     table = _simulated_table(scenario)
-    report = Report()
-    _header(report, scenario, args)
     walls = 0 if scenario.room is None else len(scenario.room.walls)
     report.add(f"walls: {walls}")
     report.add(f"events: {0 if scenario.events is None else len(scenario.events)}")
@@ -193,18 +176,15 @@ def _cmd_simulate(scenario: Scenario, args) -> Report:
         report.add(f"sensor {i}: " + " ".join(repr(float(t)) for t in arr))
         rows.extend([i, float(t)] for t in arr)
     report.csv_files["receptions.csv"] = _csv(rows)
-    return report
 
 
-def _cmd_detect_walls(scenario: Scenario, args) -> Report:
+def _cmd_detect_walls(report: Report, scenario: Scenario, args, config: MatchConfig) -> None:
     if scenario.room is None:
         raise ValidationError("detect-walls needs a room (for the source position)")
-    table = _scenario_table(scenario)
-    detection = detect_walls(
-        scenario.sensors, table, scenario.room.loudspeaker, _match_config(args)
-    )
-    report = Report()
-    _header(report, scenario, args)
+    table = scenario.reception_table  # else the echoes simulated from the room
+    if table is None:
+        table = _simulated_table(scenario)
+    detection = detect_walls(scenario.sensors, table, scenario.room.loudspeaker, config)
     _match_section(report, scenario, detection.match)
     report.add(f"direct-sound-events: {len(detection.direct_events)}")
     report.add(f"walls: {len(detection.walls)}")
@@ -213,13 +193,10 @@ def _cmd_detect_walls(scenario: Scenario, args) -> Report:
         report.add(f"wall {i}: normal={_fmt_vec(wall.normal)} offset={_fmt(wall.offset)}")
         wall_rows.append([float(x) for x in wall.normal] + [wall.offset])
     report.csv_files["walls.csv"] = _csv(wall_rows)
-    return report
 
 
-def _cmd_check_geometry(scenario: Scenario, args) -> Report:
-    outcome = check_geometry(scenario.sensors, rank_tol=args.rank_tol)
-    report = Report()
-    _header(report, scenario, args)
+def _cmd_check_geometry(report: Report, scenario: Scenario, args, config: MatchConfig) -> None:
+    outcome = check_geometry(scenario.sensors, rank_tol=config.rank_tol)
     report.add(f"noncoplanar: {_fmt(outcome.noncoplanar)}")
     value = "n/a" if outcome.condition_ok is None else _fmt(outcome.condition_ok)
     report.add(f"condition-ok: {value}")
@@ -230,10 +207,9 @@ def _cmd_check_geometry(scenario: Scenario, args) -> Report:
     report.add(f"degenerate-subsets: {len(outcome.degenerate_subsets)}")
     for i, subset in enumerate(outcome.degenerate_subsets, start=1):
         report.add(f"subset {i}: {list(subset)}")
-    return report
 
 
-def _cmd_goodness(scenario: Scenario, args) -> Report:
+def _cmd_goodness(report: Report, scenario: Scenario, args, config: MatchConfig) -> None:
     if scenario.room is None:
         raise ValidationError("goodness needs a room in the scenario")
     outcome = goodness_check(
@@ -242,25 +218,25 @@ def _cmd_goodness(scenario: Scenario, args) -> Report:
         trials=args.trials,
         rng_seed=_seed(scenario, args),
         include_direct=scenario.include_direct,
-        config=_match_config(args),
+        config=config,
     )
-    report = Report()
-    _header(report, scenario, args)
     report.add(f"trials: {outcome.trials}")
     report.add(f"ghost-walls: {outcome.ghost_walls}")
     report.add(f"missed-walls: {outcome.missed_walls}")
     margin = "n/a" if outcome.mixed_residual_margin is None else _fmt(outcome.mixed_residual_margin)
     report.add(f"mixed-residual-margin: {margin}")
-    return report
 
 
+#: Each subcommand's section writer and its help line.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "match": _cmd_match,
-    "simulate": _cmd_simulate,
-    "detect-walls": _cmd_detect_walls,
-    "check-geometry": _cmd_check_geometry,
-    "goodness": _cmd_goodness,
+    "solve": (_cmd_solve, "multilaterate one event from one time per sensor"),
+    "match": (_cmd_match, "recover events from unlabelled reception times"),
+    "simulate": (_cmd_simulate, "first-order echo reception table for a room"),
+    "detect-walls": (_cmd_detect_walls, "reconstruct walls from echoes of a known source"),
+    "check-geometry": (
+        _cmd_check_geometry, "diagnose whether the sensor layout guarantees uniqueness"
+    ),
+    "goodness": (_cmd_goodness, "probe a room/sensor layout for ghost walls"),
 }
 
 
@@ -288,36 +264,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"echolat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common],
-                   help="multilaterate one event from one time per sensor")
-    sub.add_parser("match", parents=[common],
-                   help="recover events from unlabelled reception times")
-    sub.add_parser("simulate", parents=[common],
-                   help="first-order echo reception table for a room")
-    sub.add_parser("detect-walls", parents=[common],
-                   help="reconstruct walls from echoes of a known source")
-    sub.add_parser("check-geometry", parents=[common],
-                   help="diagnose whether the sensor layout guarantees uniqueness")
-    sub.add_parser("goodness", parents=[common],
-                   help="probe a room/sensor layout for ghost walls")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
 def run(command: str, scenario: Scenario, args) -> Report:
     """Execute one subcommand against an already-loaded scenario.
 
-    The shared tuning flags are checked first, whatever the subcommand, so a
-    bad ``--tolerance``, ``--rank-tol`` or ``--budget`` is a validation error.
+    The shared tuning flags become one :class:`MatchConfig` first, whatever
+    the subcommand, so a bad ``--tolerance``, ``--rank-tol`` or ``--budget``
+    is a validation error; the subcommand appends its section to the header.
     """
-    _match_config(args)
-    return _COMMANDS[command](scenario, args)
+    config = _match_config(args)
+    report = Report()
+    _header(report, scenario, args)
+    _COMMANDS[command][0](report, scenario, args, config)
+    return report
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        report = run(args.command, scenario, args)
+        # A numpy overflow, 0/0 or x/0 is a numeric failure, not a warning.
+        with np.errstate(all="raise", under="ignore"):
+            scenario = load_scenario(args.scenario)
+            report = run(args.command, scenario, args)
         if args.output is not None:
             try:
                 args.output.mkdir(parents=True, exist_ok=True)
@@ -328,7 +300,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(report.text())

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
     InconsistentTimes,
     LengthMismatch,
     NotSpanning,
+    NumericError,
     ValidationError,
 )
 
@@ -42,7 +45,9 @@ class SensorArray:
     """Known sensor positions, one per row, in R^n (n >= 2).
 
     Positions are stored as a read-only float array.  Sensors must be
-    pairwise distinct; at least two are required.  Whether the array is
+    pairwise distinct; at least two are required.  The squared norm of each
+    position and the squared distance of each pair must be finite doubles,
+    since the solvers square them.  Whether the array is
     rich enough for a particular solver (e.g. affinely spanning) is checked
     by the operation that needs it, not here.
     """
@@ -60,16 +65,21 @@ class SensorArray:
             raise ValidationError(f"need at least two sensors, got {m}")
         if not np.isfinite(arr).all():
             raise ValidationError("sensor positions contain NaN or Inf")
-        diff = arr[:, None, :] - arr[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        with np.errstate(over="ignore"):  # an overflow is an inf, checked below
+            diff = arr[:, None, :] - arr[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            norms = (arr * arr).sum(axis=1)
         iu = np.triu_indices(m, k=1)
         if np.any(dist[iu] == 0.0):
             raise ValidationError("sensor positions must be pairwise distinct")
+        diameter = float(dist.max())
+        if not (math.isfinite(diameter) and np.isfinite(norms).all()):
+            raise ValidationError("sensor positions too large: a squared norm or distance overflows")
         arr.setflags(write=False)
         dist.setflags(write=False)
         object.__setattr__(self, "positions", arr)
         object.__setattr__(self, "_dist", dist)
-        object.__setattr__(self, "_diameter", float(dist.max()))
+        object.__setattr__(self, "_diameter", diameter)
 
     @property
     def count(self) -> int:
@@ -88,7 +98,7 @@ class SensorArray:
 
     def spans_space(self, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> bool:
         """True if the sensors affinely span R^n (numeric rank decision)."""
-        return _affine_rank(self.positions, rank_tol) == self.dim
+        return _affine_rank(self.positions, _rank_tol(rank_tol)) == self.dim
 
     @cached_property
     def _factor(self) -> linalg.ExactFactor | None:
@@ -181,12 +191,20 @@ class GeometryReport:
     degenerate_subsets: tuple[tuple[int, ...], ...] = ()
 
 
+def _rank_tol(value):
+    """``value``, if it is a real cutoff in (0, 1) for :func:`linalg.numeric_rank`."""
+    if not (isinstance(value, Real) and 0.0 < value < 1.0):
+        raise ValidationError(f"rank_tol must lie in (0, 1), got {value}")
+    return value
+
+
 def _as_times(times, count: int) -> np.ndarray:
     arr = np.asarray(times, dtype=float).reshape(-1)
     if arr.shape[0] != count:
         raise LengthMismatch(f"got {arr.shape[0]} reception times for {count} sensors")
-    if not np.isfinite(arr).all():
-        raise ValidationError("reception times contain NaN or Inf")
+    peak = float(np.abs(arr).max())  # NaN if a time is NaN
+    if not math.isfinite(peak * peak):
+        raise ValidationError(f"reception times must square to finite doubles, got {peak!r}")
     return arr
 
 
@@ -220,6 +238,12 @@ def _spurious(t_emit, t: np.ndarray, diameter: float):
     return low < t_emit - 1e-9 * (t.max(axis=0) - low + diameter)
 
 
+def _finite(what: str, values) -> None:
+    """Raise :class:`NumericError` unless every value is a finite double."""
+    if not all(map(math.isfinite, values)):
+        raise NumericError(f"{what} overflows a double")
+
+
 def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SolveResult:
     """Multilaterate one event from per-sensor reception times.
 
@@ -230,9 +254,9 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     ``(t, x, w)`` with ``w = ||x||^2 - t^2``: the m x (n+2) system
     ``A (t, x, w) = ||a_i||^2 - t_i^2`` with ``A`` the
     :func:`measurement_matrix`.  At least n+1 sensors are required.  The
-    numeric rank of ``A`` (at ``rank_tol``) is decided once.  For n+1
-    sensors it takes no SVD: ``A`` then has n+1 rows, and spanning sensors
-    give it rank n+1.
+    numeric rank of ``A`` (at ``rank_tol``, a real in (0, 1)) is decided
+    once.  For n+1 sensors it takes no SVD: ``A`` then has n+1 rows, and
+    spanning sensors give it rank n+1.
 
     * Rank n+2 (``FULL_RANK`` path): one least-squares solve yields the
       unique event.
@@ -250,6 +274,8 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     A candidate whose emission time lies after some recorded arrival (by
     more than 1e-9 times the time span plus the sensor diameter) cannot be
     a physical event for the one-sided model and is flagged as spurious.
+    Times whose squares overflow raise :class:`ValidationError`; a quadratic
+    coefficient or a candidate past the largest double, :class:`NumericError`.
 
     Every linear solve is exact and rounded once per component, and each
     quadratic coefficient is rounded once from (u, alpha) and (v, beta)
@@ -264,6 +290,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     :class:`RankDeficient` for an exactly singular one.  Both give the same
     digits.
     """
+    _rank_tol(rank_tol)
     t = _as_times(times, sensors.count)
     m, n = sensors.positions.shape
     if m < n + 1:
@@ -279,6 +306,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
             solution = factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
         if solution is None:
             solution = linalg.least_squares_solve(amat, rhs)
+        _finite("the solved event", solution[: n + 1])
         event = EmissionEvent(solution[0], solution[1 : n + 1])
         cand = Candidate(event, bool(_spurious(event.time, t, diameter)))
         return SolveResult(path=SolvePath.FULL_RANK, candidates=(cand,), rank=rank)
@@ -287,11 +315,13 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
         raise NotSpanning("sensors do not affinely span the ambient space")
     rhs = np.array((2.0 * t, _rhs(sensors, t))).T
     t_part, const_part = linalg.least_squares_solve(amat[:, 1:], rhs).T.tolist()
+    _finite("the reduced quadratic", t_part + const_part)
     u, alpha = t_part[:n], t_part[n]
     v, beta = const_part[:n], const_part[n]
     coeff_a = linalg.fsum_dot(u, u, -1.0)
     coeff_b = 2.0 * linalg.fsum_dot(u, v, -0.5 * alpha)  # scaling by 2 is exact
     coeff_c = linalg.fsum_dot(v, v, -beta)
+    _finite("the reduced quadratic", (coeff_a, coeff_b, coeff_c))
     roots = linalg.solve_quadratic(coeff_a, coeff_b, coeff_c, tol=_DEGENERACY_TOL)
     if roots.kind is linalg.RootKind.DEGENERATE_ALL:
         raise DegenerateSystem(
@@ -299,16 +329,15 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
         )
     if roots.kind is linalg.RootKind.NO_REAL:
         raise InconsistentTimes("no real emission time fits the reception times")
-    candidates = tuple(
-        Candidate(
-            EmissionEvent(root, [root * ue + ve for ue, ve in zip(u, v)]),
-            bool(_spurious(root, t, diameter)),
-        )
-        for root in roots.roots
-    )
+    candidates = []
+    for root in roots.roots:
+        position = [root * ue + ve for ue, ve in zip(u, v)]
+        _finite("the solved event", [root, *position])
+        late = bool(_spurious(root, t, diameter))
+        candidates.append(Candidate(EmissionEvent(root, position), late))
     return SolveResult(
         path=SolvePath.QUADRATIC,
-        candidates=candidates,
+        candidates=tuple(candidates),
         rank=rank,
         quadratic=(coeff_a, coeff_b, coeff_c),
     )
@@ -347,7 +376,8 @@ def check_geometry(
     ``(e_i ||a_i||, a_i, 1)`` must be nonzero.  When it holds, distinct
     sources cannot produce identical reception times, so the two quadratic
     candidates can never both be genuine.  Determinants are compared
-    scale-free (normalised by row norms) against 1e-8.
+    scale-free (normalised by row norms) against 1e-8; one that overflows
+    counts as failing.
     """
     pos = sensors.positions
     m, n = pos.shape
@@ -369,7 +399,8 @@ def check_geometry(
         stack[:, :, 0] = signs * np.linalg.norm(pos, axis=1)
         stack[:, :, 1 : n + 1] = pos
         stack[:, :, n + 1] = 1.0
-        failing = list(map(tuple, signs[linalg.hadamard_ratio(stack) <= _CONDITION_TOL].tolist()))
+        ratios = linalg.hadamard_ratio(stack)
+        failing = list(map(tuple, signs[~(ratios > _CONDITION_TOL)].tolist()))  # NaN fails
         condition_ok = not failing
 
     return GeometryReport(

@@ -69,7 +69,7 @@ def least_squares_solve(a, b) -> np.ndarray:
     dependent, instead of returning one of infinitely many minimisers.
     No numeric rank is decided here: a caller that needs one decides it
     with :func:`numeric_rank` first, and a matrix that is only numerically
-    deficient is solved.
+    deficient is solved.  A component past the largest double is ``±inf``.
 
     The solution is computed exactly, in integer arithmetic, and rounded
     once: it is the correctly rounded least-squares solution of the given
@@ -111,12 +111,15 @@ def _integers(values: list[float]) -> tuple[list[int], int]:
 
 
 def _quotient(num: int, den: int, exponent: int) -> float:
-    """``num * 2**exponent / den`` rounded once, the shift applied before the division."""
+    """``num * 2**exponent / den`` rounded once (``±inf`` past the doubles), shift first."""
     if exponent < 0:
         den <<= -exponent
     else:
         num <<= exponent
-    return num / den + 0.0  # +0.0 scrubs negative zeros
+    try:
+        return num / den + 0.0  # +0.0 scrubs negative zeros
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def _dot(x, y) -> int:
@@ -251,10 +254,7 @@ def fsum_dot(x: list[float], y: list[float], addend: float = 0.0) -> float:
     ints, exponent = _integers([addend, *x] if y is x else [addend, *x, *y])
     xs = ints[1 : len(x) + 1]
     total = _dot(xs, xs if y is x else ints[len(x) + 1 :]) + (ints[0] << -exponent)
-    try:
-        return _quotient(total, 1, 2 * exponent)
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
+    return _quotient(total, 1, 2 * exponent)
 
 
 def hadamard_ratio(stack) -> np.ndarray:

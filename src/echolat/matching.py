@@ -41,7 +41,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotSpanning, NumericError, ValidationError
-from .lateration import _DEGENERACY_TOL, SensorArray, SolvePath, _arrivals, _spurious, solve
+from .lateration import _DEGENERACY_TOL, _arrivals, _rank_tol, _spurious
+from .lateration import SensorArray, SolvePath, solve
 from .relations import batched_relation_residuals
 
 _DEDUP_RESOLUTION = 1e-12
@@ -139,9 +140,9 @@ class MatchConfig:
     contribute both (flagged); otherwise they are dropped and counted.
     ``budget`` caps the product of the reception-list sizes, and
     ``rank_tol`` is passed to :func:`solve`.  A threshold that is not a
-    finite real >= 0, a ``rank_tol`` that is not a real in (0, 1) or a
-    budget that is not a real >= 0 (NaN included) raises
-    :class:`ValidationError`.
+    finite real >= 0, a ``rank_tol`` that is not a real in (0, 1), a
+    ``keep_ambiguous`` that is not a bool or a budget that is not a real
+    >= 0 (NaN included) raises :class:`ValidationError`.
     """
 
     residual_threshold: float = 1e-6
@@ -150,11 +151,12 @@ class MatchConfig:
     rank_tol: float = linalg.DEFAULT_RANK_TOL
 
     def __post_init__(self) -> None:
-        threshold, rank_tol, budget = self.residual_threshold, self.rank_tol, self.budget
+        threshold, budget = self.residual_threshold, self.budget
         if not (isinstance(threshold, Real) and math.isfinite(threshold) and threshold >= 0.0):
             raise ValidationError(f"residual_threshold must be finite and >= 0, got {threshold}")
-        if not (isinstance(rank_tol, Real) and 0.0 < rank_tol < 1.0):
-            raise ValidationError(f"rank_tol must lie in (0, 1), got {rank_tol}")
+        _rank_tol(self.rank_tol)
+        if not isinstance(self.keep_ambiguous, (bool, np.bool_)):
+            raise ValidationError(f"keep_ambiguous must be a bool, got {self.keep_ambiguous!r}")
         if not (isinstance(budget, Real) and budget >= 0):
             raise ValidationError(f"budget must be >= 0, got {budget}")
 

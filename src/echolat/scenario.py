@@ -81,6 +81,19 @@ def _vector(value, dim: int, where: str) -> np.ndarray:
     return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
 
 
+def _list(value, where: str, what: str = "a list") -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be {what}")
+    return value
+
+
+def _record(value, keys: tuple[str, str], where: str) -> dict:
+    """``value`` if it is an object with no key outside ``keys``."""
+    if not isinstance(value, dict) or set(value) - set(keys):
+        raise ParseError(f"{where} must have '{keys[0]}' and '{keys[1]}'")
+    return value
+
+
 def parse_scenario(doc, source: str = "<memory>") -> Scenario:
     """Build a :class:`Scenario` from a decoded JSON document."""
     if not isinstance(doc, dict):
@@ -107,13 +120,9 @@ def parse_scenario(doc, source: str = "<memory>") -> Scenario:
 
     events = None
     if "events" in doc:
-        raw = doc["events"]
-        if not isinstance(raw, list):
-            raise ParseError(f"{source}: events must be a list")
         parsed = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict) or set(entry) - {"time", "position"}:
-                raise ParseError(f"{source}: events[{i}] must have 'time' and 'position'")
+        for i, entry in enumerate(_list(doc["events"], f"{source}: events")):
+            entry = _record(entry, ("time", "position"), f"{source}: events[{i}]")
             t = _number(entry.get("time", 0.0), f"{source}: events[{i}].time")
             pos = _vector(entry.get("position"), dim, f"{source}: events[{i}].position")
             parsed.append(EmissionEvent(speed * t, pos))
@@ -121,34 +130,23 @@ def parse_scenario(doc, source: str = "<memory>") -> Scenario:
 
     table = None
     if "reception_table" in doc:
-        raw = doc["reception_table"]
-        if not isinstance(raw, list):
-            raise ParseError(f"{source}: reception_table must be a list of per-sensor lists")
+        raw = _list(doc["reception_table"], f"{source}: reception_table", "a list of per-sensor lists")
         if len(raw) != sensors.count:
             raise ValidationError(
                 f"{source}: reception_table has {len(raw)} rows for {sensors.count} sensors"
             )
         rows = []
         for i, entry in enumerate(raw):
-            if not isinstance(entry, list):
-                raise ParseError(f"{source}: reception_table[{i}] must be a list")
-            rows.append(
-                [speed * _number(x, f"{source}: reception_table[{i}][{j}]") for j, x in enumerate(entry)]
-            )
+            where = f"{source}: reception_table[{i}]"
+            rows.append([speed * _number(x, f"{where}[{j}]") for j, x in enumerate(_list(entry, where))])
         table = ReceptionTable.from_lists(rows)
 
     room = None
     if "room" in doc:
-        raw = doc["room"]
-        if not isinstance(raw, dict) or set(raw) - {"walls", "loudspeaker"}:
-            raise ParseError(f"{source}: room must have 'walls' and 'loudspeaker'")
-        raw_walls = raw.get("walls")
-        if not isinstance(raw_walls, list):
-            raise ParseError(f"{source}: room.walls must be a list")
+        raw = _record(doc["room"], ("walls", "loudspeaker"), f"{source}: room")
         walls = []
-        for i, entry in enumerate(raw_walls):
-            if not isinstance(entry, dict) or set(entry) - {"normal", "offset"}:
-                raise ParseError(f"{source}: room.walls[{i}] must have 'normal' and 'offset'")
+        for i, entry in enumerate(_list(raw.get("walls"), f"{source}: room.walls")):
+            entry = _record(entry, ("normal", "offset"), f"{source}: room.walls[{i}]")
             normal = _vector(entry.get("normal"), dim, f"{source}: room.walls[{i}].normal")
             offset = _number(entry.get("offset", 0.0), f"{source}: room.walls[{i}].offset")
             walls.append(Wall(normal, offset))
@@ -157,12 +155,8 @@ def parse_scenario(doc, source: str = "<memory>") -> Scenario:
 
     spurious: list[tuple[int, float]] = []
     if "spurious" in doc:
-        raw = doc["spurious"]
-        if not isinstance(raw, list):
-            raise ParseError(f"{source}: spurious must be a list")
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict) or set(entry) - {"sensor", "time"}:
-                raise ParseError(f"{source}: spurious[{i}] must have 'sensor' and 'time'")
+        for i, entry in enumerate(_list(doc["spurious"], f"{source}: spurious")):
+            entry = _record(entry, ("sensor", "time"), f"{source}: spurious[{i}]")
             idx = entry.get("sensor")
             if not isinstance(idx, int) or isinstance(idx, bool):
                 raise ParseError(f"{source}: spurious[{i}].sensor must be an integer")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +281,20 @@ def test_exit_2_on_parse_and_validation_problems(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate", str(wide))
     assert code == 0 and err == ""
 
+    # Squares past the double range: a sensor's norm, then a sensor distance.
+    for sensors, times in (
+        ([[0, 0], [1e200, 0], [0, 1e200], [1e200, 1.5e200]], [1e200, 2e200, 2e200, 2.5e200]),
+        ([[9, 1e308], [9, -12], [10, -24], [10, 24]], [15, 15, 26, 26]),
+    ):
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(
+            {"dimension": 2, "sensors": sensors, "reception_table": [[t] for t in times]}
+        ))
+        for command in ("solve", "match", "check-geometry"):
+            code, out, err = run_cli(capsys, command, str(far))
+            assert code == 2 and out == ""
+            assert err == "error: sensor positions too large: a squared norm or distance overflows\n"
+
 
 @pytest.mark.parametrize(
     "flags",
@@ -308,6 +324,72 @@ def test_exit_3_on_numeric_failure(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 3
     assert "NotSpanning" in err
+
+    # The quadratic's coefficients overflow, though every input squares finitely.
+    doc = {
+        "dimension": 2,
+        "sensors": [[9, 12], [9, -12], [10, -24], [10, 24]],
+        "reception_table": [[15], [15], [26], [1e150]],
+    }
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 3 and out == ""
+    assert err == "numeric failure: NumericError: the reduced quadratic overflows a double\n"
+
+    # The matcher's relation determinants overflow: a numpy overflow, not a warning.
+    doc = json.loads(Path(scenario("equal_times_2d")).read_text())
+    doc["sensors"][1] = [0, 1e150]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "match", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: FloatingPointError: overflow") and err.count("\n") == 1
+
+
+#: What the mutation test writes over one entry of a shipped scenario:
+#: numbers whose squares (or whose products in the solvers) leave the
+#: double range, fraction strings that are not finite, and wrong types.
+MUTATIONS = (1e308, 1e200, 1e150, "1/0", "1e400", 2**70, True, None, [], "x")
+
+
+def _entries(node, path=()):
+    """Paths to every scalar and empty list in a decoded JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _entries(value, (*path, key))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _entries(value, (*path, i))
+    else:
+        yield path
+
+
+def test_no_run_on_a_mutated_scenario_exits_1(capsys, tmp_path):
+    # Each shipped scenario, each mutation written twice over an entry drawn
+    # at random, under every subcommand: a run succeeds, or ends with exit
+    # 2 or 3 and one line on stderr; never with an exception.
+    rng = random.Random(2207)
+    for source in sorted(SCENARIO_DIR.glob("*.json")):
+        doc = json.loads(source.read_text())
+        entries = list(_entries(doc))
+        for value in MUTATIONS * 2:
+            *parents, last = rng.choice(entries)
+            mutated = copy.deepcopy(doc)
+            node = mutated
+            for key in parents:
+                node = node[key]
+            node[last] = value
+            path = tmp_path / source.name
+            path.write_text(json.dumps(mutated))
+            for command in COMMANDS:
+                flags = ("--trials", "1") if command == "goodness" else ()
+                code, out, err = run_cli(capsys, command, str(path), *flags)
+                case = f"{command} {source.stem} {(*parents, last)} = {value!r}"
+                if code == 0:
+                    assert out and err == "", case
+                else:
+                    assert code in (2, 3) and out == "", case
+                    assert err.startswith(("error: ", "numeric failure: ")), case
+                    assert err.count("\n") == 1, case
 
 
 #: Recorded command lines: every subcommand on every shipped scenario, and

@@ -27,6 +27,9 @@ from conftest import (
 )
 from oracles import frac_det, frac_solve, reduced_quadratic, reduced_time_line
 
+#: Four sensors in the plane; the layouts of the overflow tests scale it.
+TRAPEZOID = [[9.0, 12.0], [9.0, -12.0], [10.0, -24.0], [10.0, 24.0]]
+
 
 def test_sensor_array_validation():
     with pytest.raises(el.ValidationError):
@@ -37,6 +40,14 @@ def test_sensor_array_validation():
         el.SensorArray([[0.0, 0.0], [0.0, 0.0]])  # coincident
     with pytest.raises(el.ValidationError):
         el.SensorArray([[0.0, np.inf], [1.0, 0.0]])
+    for positions in (
+        [[9.0, 1e308], *TRAPEZOID[1:]],
+        [[1e154, 1e154], [0.0, 0.0]],  # each coordinate squares finitely, the norm does not
+        [[1e154, 0.0], [-1e154, 0.0]],  # each norm squares finitely, the distance does not
+    ):
+        with pytest.raises(el.ValidationError, match="a squared norm or distance overflows"):
+            el.SensorArray(positions)
+    assert el.SensorArray([[1e153, 0.0], [-1e153, 0.0]]).diameter() == 2e153
     arr = el.SensorArray([[0.0, 0.0], [3.0, 4.0]])
     assert arr.count == 2 and arr.dim == 2
     assert arr.diameter() == pytest.approx(5.0)
@@ -299,6 +310,27 @@ def test_solve_validation_errors():
         el.solve(sensors, [1.0, 2.0])
     with pytest.raises(el.ValidationError):
         el.solve(el.SensorArray([[0.0, 0.0], [1.0, 0.0]]), [1.0, 2.0])  # m < n+1
+    for times in ([15.0, 15.0, 26.0, -1e200], [15.0, 15.0, 26.0, 2e154]):
+        with pytest.raises(el.ValidationError, match="must square to finite doubles"):
+            el.solve(el.SensorArray(TRAPEZOID), times)
+    full = sensor_array(AMBIGUOUS_3D)
+    for rank_tol in (0.0, 1.0, 2.0, -1e-8, math.nan, "x"):
+        for call in (
+            lambda: el.solve(full, dataset_times(AMBIGUOUS_3D), rank_tol=rank_tol),
+            lambda: el.solve(sensors, [4.0, 5.0, 5.0], rank_tol=rank_tol),
+            lambda: el.check_geometry(full, rank_tol=rank_tol),
+            lambda: full.spans_space(rank_tol),
+        ):
+            with pytest.raises(el.ValidationError, match="rank_tol must lie in"):
+                call()
+
+
+def test_results_past_the_double_range_are_numeric_errors():
+    with pytest.raises(el.NumericError, match="the reduced quadratic overflows"):
+        el.solve(el.SensorArray(TRAPEZOID), [15.0, 15.0, 26.0, 1e150])
+    cross = el.SensorArray([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(el.NumericError, match="the solved event overflows"):
+        el.solve(cross, [1e130, 0.0, -1e130, 0.0])
 
 
 def test_collinear_sensors_not_spanning():
@@ -457,6 +489,16 @@ def test_check_geometry_reports_degenerate_subsets():
     report = el.check_geometry(sensors)
     assert report.noncoplanar
     assert (0, 1, 2, 3) in report.degenerate_subsets
+
+
+def test_check_geometry_counts_an_overflowing_determinant_as_failing():
+    # Near 1e110 the sign-pattern determinants and row norms overflow to a
+    # NaN ratio, which must not read as a pattern that passes.
+    sensors = el.SensorArray(np.array(TRAPEZOID) * 1e110)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = el.check_geometry(sensors)
+    assert report.noncoplanar and report.condition_ok is False
+    assert len(report.failing_sign_patterns) == 8
 
 
 def test_check_geometry_coplanar_array():

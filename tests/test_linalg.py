@@ -125,6 +125,12 @@ def test_least_squares_with_known_rank():
     assert el.least_squares_solve(near, [2.0, 2.0 + 2.0**-40]).tolist() == [1.0, 1.0]
 
 
+def test_least_squares_solution_past_the_double_range_is_inf():
+    a = [[2.0**-1000, 0.0], [0.0, 1.0]]
+    assert el.least_squares_solve(a, [-(2.0**100), 3.0]).tolist() == [-math.inf, 3.0]
+    assert el.least_squares_solve(a, [2.0**100, 3.0]).tolist() == [math.inf, 3.0]
+
+
 def test_exact_factor_shapes_rank_and_null_vector():
     for shape in ((3, 1), (2, 2)):
         with pytest.raises(ValueError):

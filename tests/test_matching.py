@@ -551,10 +551,15 @@ def test_config_rejects_bad_values():
         {"budget": "x"},
         {"residual_threshold": "x"},
         {"rank_tol": "x"},
+        {"keep_ambiguous": "no"},  # a truthy string would keep the ambiguous events
+        {"keep_ambiguous": 1},
+        {"keep_ambiguous": None},
     ):
         with pytest.raises(el.ValidationError):
             el.MatchConfig(**bad)
     el.MatchConfig(residual_threshold=0.0, budget=0)
+    el.MatchConfig(keep_ambiguous=False)
+    el.MatchConfig(keep_ambiguous=np.False_)
 
 
 def test_prune_tuples_never_drops_a_true_event():

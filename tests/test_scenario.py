@@ -94,6 +94,29 @@ def test_unknown_keys_rejected():
         el.parse_scenario([1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"events": {}}, "events must be a list"),
+        ({"events": [{"time": 0, "position": [0, 0], "label": "x"}]},
+         "events[0] must have 'time' and 'position'"),
+        ({"reception_table": {}}, "reception_table must be a list of per-sensor lists"),
+        ({"reception_table": [4, [5], [5]]}, "reception_table[0] must be a list"),
+        ({"room": []}, "room must have 'walls' and 'loudspeaker'"),
+        ({"room": {"walls": {}, "loudspeaker": [0, 0]}}, "room.walls must be a list"),
+        ({"room": {"walls": [[1, 0]], "loudspeaker": [0, 0]}},
+         "room.walls[0] must have 'normal' and 'offset'"),
+        ({"spurious": 3}, "spurious must be a list"),
+        ({"spurious": [[0, 1.0]]}, "spurious[0] must have 'sensor' and 'time'"),
+    ],
+    ids=["events", "event", "table", "table-row", "room", "walls", "wall", "spurious", "spur"],
+)
+def test_record_shape_messages(extra, message):
+    with pytest.raises(el.ParseError) as exc:
+        el.parse_scenario(minimal(**extra), source="scene.json")
+    assert str(exc.value) == f"scene.json: {message}"
+
+
 def test_field_validation():
     with pytest.raises(el.ValidationError):
         el.parse_scenario({"dimension": 1, "sensors": [[0], [1]]})
