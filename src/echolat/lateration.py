@@ -5,8 +5,9 @@ sensor; :func:`check_geometry` diagnoses whether a sensor layout makes that
 event unique.  Only the time column of the linearised system depends on the
 times, so the matcher has its :class:`SensorArray` of n+2 sensors factor
 the geometry block once (:func:`linalg.exact_factor`): the factor picks
-the held-out sensor and its local inverse, and every later full-rank solve
-on the layout reuses it.
+the held-out sensor and its local inverse, and :func:`_solve_full_rank`
+solves each piece of accepted tuples with it, one stacked rank decision for
+the piece.  A lone :func:`solve` never reads the factor.
 """
 
 from __future__ import annotations
@@ -107,15 +108,10 @@ class SensorArray:
         Built on first access and kept on the instance; None when no n+1 of
         the sensors give an invertible block.  Building it costs about one
         solve, so only the matcher, which solves its layout many times,
-        reads it.  :func:`solve` uses it for full-rank solves once it exists
-        (:func:`_built_factor`).
+        reads it, in its batched step :func:`_solve_full_rank`.  A lone
+        :func:`solve` never reads it.
         """
         return linalg.exact_factor(_linearise(self, np.zeros(self.count))[:, 1:])
-
-
-def _built_factor(sensors: SensorArray) -> linalg.ExactFactor | None:
-    """``sensors._factor`` if some caller has built it, else None (no build)."""
-    return sensors.__dict__.get("_factor")  # where cached_property stores it
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +214,12 @@ def measurement_matrix(sensors: SensorArray, times) -> np.ndarray:
 
 
 def _linearise(sensors: SensorArray, t: np.ndarray) -> np.ndarray:
-    m, n = sensors.positions.shape
-    out = np.empty((m, n + 2))
-    out[:, 0] = -2.0 * t
-    out[:, 1 : n + 1] = 2.0 * sensors.positions
-    out[:, n + 1] = -1.0
+    # A (k, m) ``t`` gives the (k, m, n+2) stack of the k systems.
+    n = sensors.dim
+    out = np.empty(t.shape + (n + 2,))
+    out[..., 0] = -2.0 * t
+    out[..., 1 : n + 1] = 2.0 * sensors.positions
+    out[..., n + 1] = -1.0
     return out
 
 
@@ -277,18 +274,13 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     Times whose squares overflow raise :class:`ValidationError`; a quadratic
     coefficient or a candidate past the largest double, :class:`NumericError`.
 
-    Every linear solve is exact and rounded once per component, and each
-    quadratic coefficient is rounded once from (u, alpha) and (v, beta)
-    (:func:`linalg.fsum_dot`), so no printed digit depends on the BLAS
-    library.  When n+2 ``sensors`` already hold their exact factorisation
-    of ``G`` (the matcher builds it once per layout), the full-rank system
-    uses it: the emission time is ``gamma.b / gamma.c`` for the left null
-    vector ``gamma`` of ``G``, and the rest comes from the adjugate of an
-    invertible block.  A lone solve does not build it.  Every other system
-    (no factor, the quadratic path, tall, no invertible block, exactly
-    singular) goes to :func:`linalg.least_squares_solve`, which raises
-    :class:`RankDeficient` for an exactly singular one.  Both give the same
-    digits.
+    Every linear solve is exact and rounded once per component, through
+    :func:`linalg.least_squares_solve` (which raises :class:`RankDeficient`
+    for an exactly singular system), and each quadratic coefficient is
+    rounded once from (u, alpha) and (v, beta) (:func:`linalg.fsum_dot`),
+    so no printed digit depends on the BLAS library.  ``sensors._factor``
+    is never read here: the matcher's full-rank tuples go through
+    :func:`_solve_full_rank`, which gives the same digits.
     """
     _rank_tol(rank_tol)
     t = _as_times(times, sensors.count)
@@ -299,13 +291,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     rank = n + 1 if m == n + 1 else linalg.numeric_rank(amat, rank_tol)
     diameter = sensors.diameter()
     if rank == n + 2:
-        rhs = _rhs(sensors, t)
-        factor = _built_factor(sensors)
-        solution = None
-        if m == n + 2 and factor is not None:
-            solution = factor.solve_bordered(amat[:, 0].tolist(), rhs.tolist())
-        if solution is None:
-            solution = linalg.least_squares_solve(amat, rhs)
+        solution = linalg.least_squares_solve(amat, _rhs(sensors, t))
         _finite("the solved event", solution[: n + 1])
         event = EmissionEvent(solution[0], solution[1 : n + 1])
         cand = Candidate(event, bool(_spurious(event.time, t, diameter)))
@@ -343,6 +329,44 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
     )
 
 
+def _solve_full_rank(sensors: SensorArray, rows: np.ndarray, rank_tol: float) -> list:
+    """The full-rank solves of k tuples, a (k, n+2) array, on a factored layout.
+
+    One stacked :func:`linalg.numeric_rank` decides every row's rank.  A
+    row of rank n+2 gets :func:`solve`'s digits from the layout's factor:
+    the emission time is ``gamma.b / gamma.c`` for the left null vector
+    ``gamma`` of ``G``, the rest comes from the adjugate of an invertible
+    block, and a singular bordered system goes to
+    :func:`linalg.least_squares_solve`.  Per row the result is a list of
+    its one candidate (time, position, late), the :class:`NumericError`
+    :func:`solve` would raise, or None below full rank.  Times whose
+    squares overflow raise :func:`solve`'s :class:`ValidationError` for the
+    first such row.
+    """
+    peak = float(np.abs(rows).max(initial=0.0))
+    if not math.isfinite(peak * peak):
+        for row in rows:
+            _as_times(row, sensors.count)
+    n = sensors.dim
+    stack, rhs = _linearise(sensors, rows), _rhs(sensors, rows)
+    full = np.flatnonzero(linalg.numeric_rank(stack, rank_tol) == n + 2)
+    out: list = [None] * len(rows)
+    for i, column, b in zip(full.tolist(), stack[full, :, 0].tolist(), rhs[full].tolist()):
+        try:
+            solution = sensors._factor.solve_bordered(column, b)
+            if solution is None:
+                solution = linalg.least_squares_solve(stack[i], rhs[i]).tolist()
+            _finite("the solved event", solution[: n + 1])
+        except NumericError as exc:
+            solution = exc
+        out[i] = solution
+    done = [i for i in full.tolist() if isinstance(out[i], list)]
+    late = _spurious(np.array([out[i][0] for i in done]), rows[done].T, sensors.diameter())
+    for i, flag in zip(done, late.tolist()):
+        out[i] = [(out[i][0], out[i][1 : n + 1], flag)]
+    return out
+
+
 def event_arrivals(sensors: SensorArray, event: EmissionEvent) -> np.ndarray:
     """Forward model: reception time of ``event`` at every sensor."""
     return _arrivals(sensors, [event])[0]
@@ -375,9 +399,10 @@ def check_geometry(
     ``e in {+-1}^m`` the (n+2) x (n+2) determinant with rows
     ``(e_i ||a_i||, a_i, 1)`` must be nonzero.  When it holds, distinct
     sources cannot produce identical reception times, so the two quadratic
-    candidates can never both be genuine.  Determinants are compared
-    scale-free (normalised by row norms) against 1e-8; one that overflows
-    counts as failing.
+    candidates can never both be genuine.  Each determinant over its row
+    norms is compared against 1e-8, and one that overflows fails.  That is
+    not scale-free: the rows hold distances from the origin beside a unitless
+    1, so the verdict changes with the unit and the origin (ROADMAP item 15).
     """
     pos = sensors.positions
     m, n = pos.shape

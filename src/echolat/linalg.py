@@ -34,30 +34,32 @@ from .errors import RankDeficient
 DEFAULT_RANK_TOL = 1e-8
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str = "matrix", ndims=(2,)) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+    if arr.ndim not in ndims:
+        raise ValueError(f"{name} has the wrong number of axes, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 
 
-def numeric_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+def numeric_rank(a, rel_tol: float = DEFAULT_RANK_TOL):
     """Rank of ``a``: singular values above ``rel_tol`` times the largest.
 
     The zero matrix has rank 0.  ``rel_tol`` must lie strictly between 0
     and 1; the default is shared by every rank decision in the package.
+    A matrix gives an ``int``; a (k, r, c) stack gives the k ranks, from
+    one SVD call, as an integer array.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    arr = _as_matrix(a)
+    arr = _as_matrix(a, ndims=(2, 3))
     if arr.size == 0:
-        return 0
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+        ranks = np.zeros(arr.shape[:-2], dtype=int)
+    else:  # all-zero singular values pass no cutoff, so the zero matrix has rank 0
+        sigma = np.linalg.svd(arr, compute_uv=False)
+        ranks = (sigma > rel_tol * sigma[..., :1]).sum(axis=-1)
+    return int(ranks) if arr.ndim == 2 else ranks
 
 
 def least_squares_solve(a, b) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotSpanning, NumericError, ValidationError
-from .lateration import _DEGENERACY_TOL, _arrivals, _rank_tol, _spurious
+from .lateration import _DEGENERACY_TOL, _arrivals, _rank_tol, _solve_full_rank, _spurious
 from .lateration import SensorArray, SolvePath, solve
 from .relations import batched_relation_residuals
 
@@ -427,11 +427,12 @@ def match_events(
     residual counts towards ``rejected_floor``.
 
     Each accepted tuple is multilaterated and its non-spurious candidates
-    become detected events.  Ambiguous tuples (two viable candidates)
-    contribute both events flagged ``ambiguous`` when
-    ``config.keep_ambiguous`` is set, and are dropped otherwise.  Numeric
-    failures on individual tuples are reported in ``skipped`` rather than
-    aborting the sweep.
+    become detected events; a piece's full-rank tuples are solved in one
+    batch on the factor (:func:`lateration._solve_full_rank`).  Ambiguous
+    tuples (two viable candidates) contribute both events flagged
+    ``ambiguous`` when ``config.keep_ambiguous`` is set, and are dropped
+    otherwise.  Numeric failures on individual tuples are reported in
+    ``skipped`` rather than aborting the sweep.
 
     Raises :class:`BudgetExceeded` if the full product size exceeds
     ``config.budget`` (checked before any work), and :class:`NotSpanning`
@@ -481,30 +482,31 @@ def match_events(
         hits = near & (residuals <= config.residual_threshold)
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
-        for row, residual in zip(rows[hits], residuals[hits].tolist()):
+        rows = rows[hits]
+        solved = _solve_full_rank(sensors, rows, config.rank_tol)
+        for row, residual, outcome in zip(rows, residuals[hits].tolist(), solved):
             source = tuple(row.tolist())
             accepted.append((source, residual))
-            try:
-                result = solve(sensors, row, rank_tol=config.rank_tol)
-            except NumericError as exc:
-                skipped.append((source, f"{type(exc).__name__}: {exc}"))
+            path = SolvePath.FULL_RANK
+            if outcome is None:  # below full rank: solve's quadratic path
+                try:
+                    result = solve(sensors, row, rank_tol=config.rank_tol)
+                except NumericError as exc:
+                    outcome = exc
+                else:
+                    path = result.path
+                    outcome = [(c.event.time, c.event.position, c.spurious)
+                               for c in result.candidates]
+            if isinstance(outcome, NumericError):
+                skipped.append((source, f"{type(outcome).__name__}: {outcome}"))
                 continue
-            viable = [c for c in result.candidates if not c.spurious]
+            viable = [(time, position) for time, position, late in outcome if not late]
             ambiguous = len(viable) > 1
             if ambiguous and not config.keep_ambiguous:
                 dropped_ambiguous += 1
                 continue
-            for cand in viable:
-                found.append(
-                    DetectedEvent(
-                        event_time=cand.event.time,
-                        position=cand.event.position,
-                        source_times=source,
-                        residual=residual,
-                        path=result.path,
-                        ambiguous=ambiguous,
-                    )
-                )
+            for time, position in viable:
+                found.append(DetectedEvent(time, position, source, residual, path, ambiguous))
 
     events = _dedup_events(found, _DEDUP_EPS, _DEDUP_EPS * sensors.diameter())
     return MatchReport(

@@ -227,8 +227,10 @@ def test_one_match_factors_the_layout_once(monkeypatch):
     monkeypatch.setattr(linalg, "least_squares_solve",
                         lambda a, b: lstsq.append(a) or least_squares(a, b))
     report = el.match_events(sensors, el.simulate_echoes(room, sensors, include_direct=True))
-    assert len(report.events) == len(solves) == 7
-    assert (len(builds), len(lstsq)) == (1, 0)
+    # Every shoebox tuple has full rank, so the batch solves all seven with
+    # the factor and none reaches solve.
+    assert len(report.events) == 7
+    assert (len(builds), len(lstsq), len(solves)) == (1, 0, 0)
 
 
 def test_detect_walls_shoebox():

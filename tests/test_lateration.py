@@ -333,6 +333,39 @@ def test_results_past_the_double_range_are_numeric_errors():
         el.solve(cross, [1e130, 0.0, -1e130, 0.0])
 
 
+def test_batched_full_rank_step_agrees_with_lone_solves(monkeypatch):
+    # One row each: full rank, full rank but late, and equal times (below
+    # full rank, left to solve).
+    cross = el.SensorArray([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    reach = el.event_arrivals(cross, el.EmissionEvent(0.0, [0.4, 0.3]))
+    rows = np.array([0.25 + reach, 0.25 - reach, [2.0] * 4])
+    got = lateration._solve_full_rank(cross, rows, 1e-8)
+    assert got[2] is None and el.solve(cross, rows[2]).path is el.SolvePath.QUADRATIC
+    for outcome, row in zip(got[:2], rows):
+        result = el.solve(cross, row)
+        assert result.path is el.SolvePath.FULL_RANK
+        assert outcome == [(c.event.time, c.event.position.tolist(), c.spurious)
+                           for c in result.candidates]
+    assert [late for (_, _, late), in got[:2]] == [False, True]
+    # Told that every row has full rank, the equal times reach the exact
+    # solve and come back as the error a lone solve raises.
+    def full(a, rel_tol=1e-8):
+        return a.shape[-1] if a.ndim == 2 else np.full(len(a), a.shape[-1])
+
+    monkeypatch.setattr(linalg, "numeric_rank", full)
+    with pytest.raises(el.RankDeficient) as lone:
+        el.solve(cross, rows[2])
+    got = lateration._solve_full_rank(cross, rows, 1e-8)
+    assert type(got[2]) is el.RankDeficient and str(got[2]) == str(lone.value)
+    # The first row whose squares overflow raises solve's error.
+    rows[1:] = [[3e154, 0.0, 0.0, 0.0], [0.0, -4e154, 0.0, 0.0]]
+    with pytest.raises(el.ValidationError) as lone:
+        el.solve(cross, rows[1])
+    with pytest.raises(el.ValidationError) as batch:
+        lateration._solve_full_rank(cross, rows, 1e-8)
+    assert str(batch.value) == str(lone.value)
+
+
 def test_collinear_sensors_not_spanning():
     sensors = el.SensorArray([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(el.NotSpanning):
@@ -413,9 +446,9 @@ def test_exactly_singular_systems_raise_as_before(monkeypatch):
 
 @pytest.mark.parametrize("count", [3, 4])
 def test_solve_uses_the_factor_only_once_a_caller_built_it(monkeypatch, count):
-    # A lone solve on a fresh layout pays no factor build.  Once n+2 sensors
-    # are factored, their full-rank solves no longer reach
-    # least_squares_solve; n+1 sensors have no factor and always reach it.
+    # A lone solve on a fresh layout pays no factor build, and it never
+    # reads a factor the matcher built: every full-rank solve reaches
+    # least_squares_solve once, with the same digits.
     builds, lstsq = [], []
     build, least_squares = linalg.exact_factor, linalg.least_squares_solve
     monkeypatch.setattr(linalg, "exact_factor", lambda a: builds.append(a) or build(a))
@@ -428,7 +461,7 @@ def test_solve_uses_the_factor_only_once_a_caller_built_it(monkeypatch, count):
     if count == 4:
         assert sensors._factor is not None
     second = el.solve(sensors, times)
-    assert (len(builds), len(lstsq)) == ((1, 1) if count == 4 else (0, 2))
+    assert (len(builds), len(lstsq)) == ((1, 2) if count == 4 else (0, 2))
 
     def digits(result):
         return result.path, [(c.event.time, c.event.position.tolist(), c.spurious)

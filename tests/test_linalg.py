@@ -51,6 +51,26 @@ def test_numeric_rank_scale_and_permutation_invariant(seed, scale):
     assert el.numeric_rank(a[rng.permutation(5)]) == rank
 
 
+def test_stacked_numeric_rank_equals_the_per_matrix_ranks():
+    rng = np.random.default_rng(2207)
+    stacks = [rng.normal(size=(k, 5, 5)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1, 1))
+              for k in (1, 7, 40)]
+    special = rng.normal(size=(6, 5, 5))
+    special[0] = 0.0  # the zero matrix
+    special[1, :, 4] = special[1, :, :4] @ [1.0, -2.0, 0.5, 3.0]  # exactly dependent column
+    u, _, vt = np.linalg.svd(rng.normal(size=(4, 5, 5)))
+    for i, ratio in enumerate((2e-8, 5e-9, 1.5e-8, 1e-9)):  # both sides of rel_tol
+        special[i + 2] = (u[i] * [1.0, 0.5, 0.25, 0.125, ratio]) @ vt[i]
+    for stack in stacks + [special, rng.normal(size=(3, 6, 4)), np.zeros((0, 5, 5))]:
+        ranks = el.numeric_rank(stack)
+        assert ranks.shape == (len(stack),)
+        assert ranks.tolist() == [el.numeric_rank(a) for a in stack]
+    assert el.numeric_rank(special).tolist()[:6] == [0, 4, 5, 4, 5, 4]
+    assert type(el.numeric_rank(special[3])) is int
+    with pytest.raises(ValueError):
+        el.numeric_rank(np.zeros((2, 2, 2, 2)))
+
+
 def test_least_squares_residual_is_orthogonal_to_columns():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(7, 4))

@@ -646,9 +646,12 @@ def test_dedup_matches_the_reference_loop(seed):
     assert [id(ev) for ev in got] == [id(ev) for ev in want]
 
 
-def test_dense_scene_events_match_least_squares_solves(monkeypatch):
-    # Every accepted row is solved through the layout's cached factor; when
-    # solve sees no factor, it falls back to least_squares_solve row by row.
+def test_dense_scene_events_match_least_squares_solves():
+    # The matcher solves its full-rank tuples in one batch through the
+    # layout's factor and sends the rest to solve; every event must carry
+    # the digits, path and ambiguity of a lone solve of its tuple on a fresh
+    # layout, which never reads a factor.  Shifting every time by 1e3 pushes
+    # part of the tuples below full rank, so both paths run.
     rng = np.random.default_rng(2207)
     while True:
         sensors = random_sensors(rng, 5, 3)
@@ -658,17 +661,23 @@ def test_dense_scene_events_match_least_squares_solves(monkeypatch):
     events = [el.EmissionEvent(t, rng.uniform(-1.0, 1.0, 3)) for t in rng.uniform(0.0, 20.0, 60)]
     table = el.ReceptionTable.from_events(sensors, events)
     config = el.MatchConfig(budget=table.product_size())
-    report = el.match_events(sensors, table, config)
-    assert sensors._factor is not None
-    monkeypatch.setattr(lateration, "_built_factor", lambda sensors: None)
-    reference = el.match_events(el.SensorArray(sensors.positions), table, config)
 
-    def digits(rep):
-        return [(ev.event_time.hex(), [x.hex() for x in ev.position.tolist()], ev.source_times,
-                 ev.residual.hex(), ev.path, ev.ambiguous) for ev in rep.events]
+    def digits(time, position):
+        return time.hex(), [x.hex() for x in position.tolist()]
 
-    assert len(report.events) >= 60
-    assert digits(report) == digits(reference)
+    paths = set()
+    for shift in (0.0, 1e3):
+        shifted = el.ReceptionTable.from_lists([arr + shift for arr in table.times])
+        report = el.match_events(sensors, shifted, config)
+        assert len(report.events) >= 60
+        assert sensors._factor is not None
+        for ev in report.events:
+            lone = el.solve(el.SensorArray(sensors.positions), ev.source_times)
+            viable = [c.event for c in lone.candidates if not c.spurious]
+            assert digits(ev.event_time, ev.position) in [digits(e.time, e.position) for e in viable]
+            assert (ev.path, ev.ambiguous) == (lone.path, len(viable) > 1)
+            paths.add(ev.path)
+    assert paths == {el.SolvePath.FULL_RANK, el.SolvePath.QUADRATIC}
 
 
 def test_empty_reception_list_means_no_events():
