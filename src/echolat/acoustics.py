@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMirror, DimensionMismatch, ValidationError
-from .lateration import EmissionEvent, SensorArray, event_arrivals
+from .lateration import EmissionEvent, SensorArray, _arrivals
 from .linalg import fsum_dot
 from .matching import DetectedEvent, MatchConfig, MatchReport, ReceptionTable, _index, match_events
 
@@ -41,15 +41,15 @@ _ORIENT_EPS = 1e-9
 _MIRROR_EPS = 1e-9
 
 
-def _scaled(vec: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _scaled(vec: list[float]) -> tuple[list[float], float, int]:
     """``vec * 2**-e``, its Euclidean length and ``e``.
 
     The power of two puts the largest component in [1/2, 1), so the scaling
     is exact and the squared length cannot leave the double range.
     """
-    exponent = math.frexp(float(np.abs(vec).max(initial=0.0)))[1]
-    vec = np.ldexp(vec, -exponent)
-    return vec, math.sqrt(fsum_dot(vec.tolist(), vec.tolist())), exponent
+    exponent = math.frexp(max(map(abs, vec), default=0.0))[1]
+    vec = [math.ldexp(x, -exponent) for x in vec]
+    return vec, math.sqrt(fsum_dot(vec, vec)), exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,27 +69,22 @@ class Wall:
         vec = np.array(self.normal, dtype=float).reshape(-1)
         if vec.size < 2 or not np.isfinite(vec).all() or not np.isfinite(self.offset):
             raise ValidationError("wall needs a finite normal (dim >= 2) and offset")
-        vec, length, exponent = _scaled(vec)  # the offset is scaled by the same power of two
+        vec, length, exponent = _scaled(vec.tolist())  # the offset is scaled by the same power of two
         if length == 0.0:
             raise ValidationError("wall normal must be nonzero")
-        vec = vec / length
+        vec = [x / length for x in vec]
         try:
             offset = math.ldexp(float(self.offset), -exponent) / length
         except OverflowError:
             offset = math.inf
         if not math.isfinite(offset):
             raise ValidationError(f"wall offset {self.offset} over the normal's length overflows")
-        for component in vec:
-            if abs(component) > _ORIENT_EPS:
-                if component < 0.0:
-                    vec = -vec
-                    offset = -offset
-                break
-        vec = vec + 0.0  # scrub negative zeros left by the flip
-        offset += 0.0
-        vec.setflags(write=False)
-        object.__setattr__(self, "normal", vec)
-        object.__setattr__(self, "offset", offset)
+        if next((x < 0.0 for x in vec if abs(x) > _ORIENT_EPS), False):
+            vec, offset = [-x for x in vec], -offset
+        normal = np.array(vec) + 0.0  # scrub negative zeros left by the flip
+        normal.setflags(write=False)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset + 0.0)
 
     @property
     def dim(self) -> int:
@@ -120,31 +115,41 @@ def wall_from_mirror(source, mirror) -> Wall:
     mir = np.asarray(mirror, dtype=float).reshape(-1)
     if src.shape != mir.shape:
         raise DimensionMismatch(f"source {src.shape} and mirror {mir.shape} differ")
-    gap = [m - s for m, s in zip(mir.tolist(), src.tolist())]  # inf on overflow, no numpy warning
+    src, mir = src.tolist(), mir.tolist()
+    gap = [m - s for m, s in zip(mir, src)]  # inf on overflow, no numpy warning
     if not all(map(math.isfinite, gap)):
         raise ValidationError("source and mirror must be finite and less than a double apart")
-    gap, length, exponent = _scaled(np.array(gap))
+    gap, length, exponent = _scaled(gap)
     # A gap of 1/2 or more is never degenerate; below that the true length cannot overflow.
     if exponent <= 0 and (distance := math.ldexp(length, exponent)) <= _MIRROR_EPS:
         raise DegenerateMirror(f"mirror point is only {distance:g} away from the source")
-    normal = gap / length
-    offset = fsum_dot(normal.tolist(), (src / 2.0 + mir / 2.0).tolist())
-    return Wall(normal, offset)
+    normal = [x / length for x in gap]
+    return Wall(normal, fsum_dot(normal, [s / 2.0 + m / 2.0 for s, m in zip(src, mir)]))
 
 
 def same_plane(a: Wall, b: Wall, normal_tol: float, offset_tol: float) -> bool:
     """Whether two walls describe the same plane within tolerances.
 
     Compares up to overall sign, so the result does not depend on the
-    canonical-orientation choice made near axis-aligned normals.
+    canonical-orientation choice made near axis-aligned normals.  Walls of
+    different dimensions raise :class:`DimensionMismatch`.
     """
-    for sign in (1.0, -1.0):
-        if (
-            float(np.linalg.norm(a.normal - sign * b.normal)) <= normal_tol
-            and abs(a.offset - sign * b.offset) <= offset_tol
-        ):
-            return True
-    return False
+    return bool(_same_planes([a], [b], normal_tol, offset_tol)[0, 0])
+
+
+def _same_planes(walls, others, normal_tol: float, offset_tol: float) -> np.ndarray:
+    """(k, l) matrix of :func:`same_plane` of ``walls[i]`` and ``others[j]``, in one broadcast."""
+    dims = {wall.dim for wall in (*walls, *others)}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"walls of dimensions {sorted(dims)} cannot be compared")
+    width = 1 + max(dims, default=0)  # the normal, then the offset
+    a, b = (np.array([[*w.normal.tolist(), w.offset] for w in side]).reshape(len(side), width)
+            for side in (walls, others))
+    with np.errstate(over="ignore"):  # offsets more than a double apart differ by inf
+        gap = a[:, None] - np.concatenate([b, -b])  # both signs of every other wall
+    normal_gap = np.sqrt(np.square(gap[..., :-1]).sum(axis=-1))
+    near = (normal_gap <= normal_tol) & (abs(gap[..., -1]) <= offset_tol)
+    return near.reshape(len(walls), 2, len(others)).any(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,32 +257,28 @@ def detect_walls(
 
     Matches the table to events, treats every event further than 1e-9 from
     the source as a mirror point and converts it to a wall; events at the
-    source are reported as the direct sound.  Walls closer than internal
-    tolerances are merged.  ``_screen_all`` is passed to
-    :func:`match_events`.
+    source are reported as the direct sound.  Every mirror event is mapped
+    first, then the walls are compared with one broadcast of
+    :func:`same_plane` (normals within 1e-9, offsets within 1e-9 times the
+    scene's scale), and a wall is kept when it matches no wall kept before
+    it in event order.  ``_screen_all`` is passed to :func:`match_events`.
     """
     src = np.asarray(source, dtype=float).reshape(-1)
     if src.shape[0] != sensors.dim:
         raise DimensionMismatch(f"source has dimension {src.shape[0]}, sensors {sensors.dim}")
     report = match_events(sensors, table, config, _screen_all=_screen_all)
-    direct: list[DetectedEvent] = []
-    mirrors: list[DetectedEvent] = []
-    walls: list[Wall] = []
+    gaps = np.array([ev.position for ev in report.events]).reshape(-1, src.shape[0]) - src
+    at_source = (np.sqrt((gaps * gaps).sum(axis=1)) <= _MIRROR_EPS).tolist()
+    direct = tuple(ev for ev, here in zip(report.events, at_source) if here)
+    mirrors = tuple(ev for ev, here in zip(report.events, at_source) if not here)
+    mapped = [wall_from_mirror(src, ev.position) for ev in mirrors]
     scale = 1.0 + float(np.abs(src).max(initial=0.0)) + sensors.diameter()
-    for ev in report.events:
-        if float(np.linalg.norm(ev.position - src)) <= _MIRROR_EPS:
-            direct.append(ev)
-            continue
-        mirrors.append(ev)
-        wall = wall_from_mirror(src, ev.position)
-        if not any(same_plane(wall, kept, 1e-9, 1e-9 * scale) for kept in walls):
-            walls.append(wall)
-    return WallDetection(
-        walls=tuple(walls),
-        direct_events=tuple(direct),
-        mirror_events=tuple(mirrors),
-        match=report,
-    )
+    kept: list[int] = []
+    for i, same in enumerate(_same_planes(mapped, mapped, 1e-9, 1e-9 * scale).tolist()):
+        if not any(same[j] for j in kept):
+            kept.append(i)
+    walls = tuple(mapped[i] for i in kept)
+    return WallDetection(walls=walls, direct_events=direct, mirror_events=mirrors, match=report)
 
 
 @dataclass(frozen=True)
@@ -321,9 +322,10 @@ def goodness_check(
 
     Runs the full simulate-and-detect loop for the given sensors and for
     ``trials`` uniformly perturbed copies (amplitude 0.05 times the sensor
-    diameter), comparing detected walls against the room: a detected wall
-    matches a true one when their normals differ by at most 1e-6 and their
-    offsets by at most 1e-6 times one plus the largest wall offset.  See
+    diameter).  Each layout's table is built from the room's emitters, made
+    once, and its detected walls are compared with the room's in one
+    broadcast of :func:`same_plane`: normals within 1e-6 and offsets within
+    1e-6 times one plus the largest wall offset.  See
     :class:`GoodnessReport` for the aggregated fields.
     """
     if sensors.dim != room.dim:
@@ -346,14 +348,11 @@ def goodness_check(
     missed = 0
     margins = []
     for layout in layouts:
-        table = simulate_echoes(room, layout, include_direct=include_direct)
+        table = ReceptionTable.from_events(layout, emitters)
         detection = detect_walls(layout, table, room.loudspeaker, config, _screen_all=True)
-        for wall in detection.walls:
-            if not any(same_plane(wall, true, normal_tol, offset_tol) for true in room.walls):
-                ghosts += 1
-        for true in room.walls:
-            if not any(same_plane(wall, true, normal_tol, offset_tol) for wall in detection.walls):
-                missed += 1
+        hits = _same_planes(detection.walls, room.walls, normal_tol, offset_tol)
+        ghosts += int((~hits.any(axis=1)).sum())
+        missed += int((~hits.any(axis=0)).sum())
         margins.append(_mixed_margin(detection.match, layout, emitters))
     return GoodnessReport(
         trials=trials,
@@ -370,10 +369,10 @@ def _mixed_margin(report: MatchReport, sensors: SensorArray, emitters: list) -> 
     its ``rejected_floor`` covers every picked tuple it did not accept.
     The margin is the minimum of that floor and the residuals of the
     accepted tuples that are not genuine, where a genuine tuple equals one
-    emitter's :func:`event_arrivals` exactly.  None when the match rejected
-    nothing and accepted only genuine tuples.
+    emitter's arrivals, from the broadcast that builds the table, exactly.
+    None when the match rejected nothing and accepted only genuine tuples.
     """
-    genuine = {tuple(event_arrivals(sensors, ev).tolist()) for ev in emitters}
+    genuine = set(map(tuple, _arrivals(sensors, emitters).tolist()))
     lows = [residual for source, residual in report.accepted if source not in genuine]
     if report.rejected_floor is not None:
         lows.append(report.rejected_floor)

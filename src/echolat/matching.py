@@ -271,29 +271,29 @@ def _dedup_events(
     found: list[DetectedEvent], time_eps: float, pos_eps: float
 ) -> list[DetectedEvent]:
     def key(ev: DetectedEvent):
-        return (ev.event_time, tuple(ev.position))
+        return (ev.event_time, ev.position.tolist())
 
     found.sort(key=key)
-    reps: list[DetectedEvent] = []
+    reps: list[tuple[float, list[float], DetectedEvent]] = []
     # Representatives before ``start`` are more than time_eps earlier than the
     # current event, so no later event can match them: times only grow.
     start = 0
     for ev in found:
-        while start < len(reps) and ev.event_time - reps[start].event_time > time_eps:
+        time, position = key(ev)
+        while start < len(reps) and time - reps[start][0] > time_eps:
             start += 1
         for i in range(start, len(reps)):
-            rep = reps[i]
-            if (
-                ev.event_time - rep.event_time <= time_eps
-                and np.max(np.abs(ev.position - rep.position)) <= pos_eps
+            rep_time, rep_position, rep = reps[i]
+            if time - rep_time <= time_eps and all(
+                abs(a - b) <= pos_eps for a, b in zip(position, rep_position)
             ):
                 if ev.residual < rep.residual:
-                    reps[i] = ev
+                    reps[i] = (time, position, ev)
                 break
         else:
-            reps.append(ev)
-    reps.sort(key=key)
-    return reps
+            reps.append((time, position, ev))
+    reps.sort(key=lambda rep: rep[:2])
+    return [rep for _, _, rep in reps]
 
 
 def _held_out(sensors: SensorArray) -> tuple[int, list[int], np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,86 @@ def test_same_plane_compares_up_to_sign():
     assert not el.same_plane(a, el.Wall([0.0, 1.0], 4.0), 1e-8, 1e-8)
 
 
+def _exact_gaps(a, b, sign):
+    """Exact (normal gap squared, offset gap) of ``a`` against ``sign * b``."""
+    return (
+        sum((Fraction(x) - sign * Fraction(y)) ** 2 for x, y in zip(a.normal, b.normal)),
+        abs(Fraction(a.offset) - sign * Fraction(b.offset)),
+    )
+
+
+def _same_plane_reference(a, b, normal_tol, offset_tol) -> bool:
+    """``same_plane`` in exact rationals: squared normal gap against the squared tolerance."""
+    return any(
+        normal_sq <= Fraction(normal_tol) ** 2 and offset_gap <= Fraction(offset_tol)
+        for normal_sq, offset_gap in (_exact_gaps(a, b, 1), _exact_gaps(a, b, -1))
+    )
+
+
+def _near_wall_pairs(rng, count):
+    """Seeded pairs of walls of nearly one plane, half stored with opposite signs.
+
+    A leading normal component within (0.5, 2) times the 1e-9 orientation
+    cutoff lets two walls of one plane canonicalise with opposite signs.
+    """
+    pairs = []
+    for k in range(count):
+        normal = rng.standard_normal(3)
+        if k % 2:
+            normal[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-9
+        offset = rng.uniform(-3.0, 3.0)
+        step = rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+        other = normal + step * rng.standard_normal(3)
+        if k % 2:
+            other[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-9
+        sign = rng.choice([-1.0, 1.0])
+        pairs.append((el.Wall(normal, offset),
+                      el.Wall(sign * other, sign * (offset + step * rng.standard_normal()))))
+    return pairs
+
+
+def test_same_planes_is_the_exact_pairwise_comparison():
+    rng = np.random.default_rng(2713)
+    pairs = _near_wall_pairs(rng, 40)
+    flipped = sum(int(a.normal @ b.normal < 0.0) for a, b in pairs)
+    assert flipped >= 5  # stored with opposite signs: only the -1 sign can match
+    walls = [a for a, _ in pairs]
+    others = [b for _, b in pairs] + [el.Wall(rng.standard_normal(3), 1.0) for _ in range(5)]
+    tolerances = [(1e-9, 1e-9), (1e-6, 1e-6), (1e-3, 1e-6), (1e-6, 1e-3), (0.0, 0.0)]
+    # just inside and just outside both tolerances of every pair's own gaps
+    for a, b in pairs[:12]:
+        sign = 1 if a.normal @ b.normal > 0.0 else -1
+        normal_sq, offset_gap = _exact_gaps(a, b, sign)
+        normal_gap = float(normal_sq) ** 0.5
+        for n_side in (1.0 - 1e-6, 1.0 + 1e-6):
+            for o_side in (1.0 - 1e-6, 1.0 + 1e-6):
+                tolerances.append((normal_gap * n_side, float(offset_gap) * o_side))
+                expect = n_side > 1.0 and o_side > 1.0
+                if normal_gap > 0.0 and offset_gap > 0:
+                    assert el.same_plane(a, b, *tolerances[-1]) is expect
+    for normal_tol, offset_tol in tolerances:
+        got = acoustics._same_planes(walls, others, normal_tol, offset_tol)
+        assert got.dtype == bool and got.shape == (len(walls), len(others))
+        want = [[_same_plane_reference(a, b, normal_tol, offset_tol) for b in others]
+                for a in walls]
+        assert got.tolist() == want, (normal_tol, offset_tol)
+        assert el.same_plane(walls[0], others[0], normal_tol, offset_tol) is want[0][0]
+    for left, right in (([], others), (walls, []), ([], [])):
+        assert acoustics._same_planes(left, right, 1e-6, 1e-6).shape == (len(left), len(right))
+
+
+def test_same_plane_rejects_walls_of_different_dimensions():
+    flat, solid = el.Wall([1.0, 0.0], 1.0), el.Wall([1.0, 0.0, 0.0], 1.0)
+    with pytest.raises(el.DimensionMismatch):
+        el.same_plane(flat, solid, 1e-6, 1e-6)
+    with pytest.raises(el.DimensionMismatch):
+        acoustics._same_planes([solid, flat], [solid], 1e-6, 1e-6)
+    with pytest.raises(el.DimensionMismatch):
+        acoustics._same_planes([solid], [solid, flat], 1e-6, 1e-6)
+    with pytest.raises(el.DimensionMismatch):
+        acoustics._same_planes([], [solid, flat], 1e-6, 1e-6)
+
+
 def test_room_validation():
     wall = el.Wall([0.0, 0.0, 1.0], 1.0)
     with pytest.raises(el.ValidationError):
@@ -248,6 +330,32 @@ def test_detect_walls_shoebox():
     assert detection.match.accepted_tuples == 7
 
 
+def test_detect_walls_keeps_the_first_of_two_walls_within_1e_9():
+    # Two mirror events 1e-10 apart but a time unit apart are two events,
+    # and their walls are one plane within 1e-9: the earlier event's wall is
+    # kept, although its mirror point is lexicographically the larger.  A
+    # third, distinct wall and the direct sound are kept apart.
+    _, sensors = shoebox()
+    source = np.array([1.2, 0.8, 1.1])
+    mirror = np.array([-1.2, 0.8, 1.1])
+    events = [
+        el.EmissionEvent(0.0, mirror + [1e-10, 0.0, 0.0]),
+        el.EmissionEvent(1.0, mirror),
+        el.EmissionEvent(2.0, [1.2, -0.8, 1.1]),
+        el.EmissionEvent(3.0, source),
+    ]
+    detection = el.detect_walls(sensors, el.ReceptionTable.from_events(sensors, events), source)
+    assert [ev.event_time for ev in detection.mirror_events] == pytest.approx([0.0, 1.0, 2.0])
+    assert len(detection.direct_events) == 1
+    first, second, third = (el.wall_from_mirror(source, ev.position)
+                            for ev in detection.mirror_events)
+    assert (first.normal.tolist(), first.offset) != (second.normal.tolist(), second.offset)
+    assert el.same_plane(first, second, 1e-9, 1e-9)
+    assert [(w.normal.tolist(), w.offset) for w in detection.walls] == [
+        (first.normal.tolist(), first.offset), (third.normal.tolist(), third.offset)
+    ]
+
+
 def test_detect_walls_dropout_loses_exactly_that_wall():
     room, sensors = shoebox()
     table = el.simulate_echoes(
@@ -330,6 +438,39 @@ def test_goodness_flags_flat_layout():
     report = el.goodness_check(room, el.SensorArray(flat), trials=2)
     assert report.missed_walls > 0
     assert report.mixed_residual_margin < 1e-6
+
+
+@pytest.mark.parametrize(
+    "thickness, include_direct, ghosts, missed, margin",
+    [
+        (1e-8, False, 0, 4, "0x1.3169b6a0c9f7cp-23"),  # the layout of the test above
+        (1e-8, True, 0, 4, "0x1.3169b6a0c9f7cp-23"),
+        (3e-8, False, 8, 0, "0x1.31690ce9a514fp-23"),
+        (3e-8, True, 9, 0, "0x1.31690ce9a514fp-23"),
+        (1e-6, True, 3, 0, "0x1.3148e6a63869cp-23"),
+    ],
+)
+def test_goodness_counts_on_the_flat_room_are_the_recorded_ones(
+    thickness, include_direct, ghosts, missed, margin
+):
+    # Recorded from the wall-by-wall comparisons; the room of the test
+    # above, on layouts that miss walls or report ghosts, so both counters
+    # and the direct sound are exercised.
+    room = el.Room(
+        (
+            el.Wall([1, 0, 0], 0.0),
+            el.Wall([0, 1, 0], 0.0),
+            el.Wall([0, 0, 1], 0.0),
+            el.Wall([0, 0, 1], 2.5),
+        ),
+        [1.2, 0.8, 1.1],
+    )
+    rng = np.random.default_rng(8)
+    base = rng.uniform(0.3, 2.2, (5, 2))
+    flat = np.column_stack([base, 1.0 + thickness * rng.standard_normal(5)])
+    report = el.goodness_check(room, el.SensorArray(flat), trials=2, include_direct=include_direct)
+    assert (report.ghost_walls, report.missed_walls) == (ghosts, missed)
+    assert report.mixed_residual_margin.hex() == margin
 
 
 def test_goodness_finds_every_wall_on_a_nearly_flat_layout():

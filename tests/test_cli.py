@@ -423,6 +423,19 @@ def test_output_matches_the_recorded_golden():
         assert _golden_run(case) == golden[case], case
 
 
+#: ``goodness`` on the shoebox with five trials at eight more seeds, so that
+#: a change to the wall layer that moves a printed digit shows.
+GOODNESS_GOLDEN = Path(__file__).resolve().parent / "goodness_golden.json"
+GOODNESS_CASES = [f"goodness shoebox_3d --trials 5 --seed {seed}" for seed in range(100, 108)]
+
+
+def test_goodness_output_matches_its_recorded_golden():
+    golden = json.loads(GOODNESS_GOLDEN.read_text())
+    assert list(golden) == GOODNESS_CASES
+    for case in GOODNESS_CASES:
+        assert _golden_run(case) == golden[case], case
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

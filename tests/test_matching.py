@@ -646,6 +646,60 @@ def test_dedup_matches_the_reference_loop(seed):
     assert [id(ev) for ev in got] == [id(ev) for ev in want]
 
 
+def _windowed_dedup_on_arrays(found, time_eps, pos_eps):
+    """``matching._dedup_events`` as it was when it compared numpy positions."""
+    def key(ev):
+        return (ev.event_time, tuple(ev.position))
+
+    found.sort(key=key)
+    reps = []
+    start = 0
+    for ev in found:
+        while start < len(reps) and ev.event_time - reps[start].event_time > time_eps:
+            start += 1
+        for i in range(start, len(reps)):
+            rep = reps[i]
+            if (
+                ev.event_time - rep.event_time <= time_eps
+                and np.max(np.abs(ev.position - rep.position)) <= pos_eps
+            ):
+                if ev.residual < rep.residual:
+                    reps[i] = ev
+                break
+        else:
+            reps.append(ev)
+    reps.sort(key=key)
+    return reps
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dedup_on_floats_is_the_dedup_on_arrays(seed):
+    # Random events on a coarse grid of times and points, so that exact
+    # (time, position) ties, near ties within the tolerances and distinct
+    # events all occur, in R^2 and R^3 and at two scales.
+    rng = np.random.default_rng([seed, 27])
+    dim, scale = 2 + seed % 2, (1.0, 1e3)[seed // 20]
+    eps = 1e-6
+    found = []
+    for _ in range(int(rng.integers(0, 40))):
+        time = scale * rng.integers(0, 2) + rng.choice([0.0, eps / 2, 2 * eps])
+        point = scale * rng.integers(0, 2, dim) + rng.choice([0.0, eps / 2, 3 * eps], size=dim)
+        residual = rng.choice([0.0, 1e-15, rng.uniform()])
+        found.append(el.DetectedEvent(time, point, (), residual, el.SolvePath.FULL_RANK, False))
+    want = _windowed_dedup_on_arrays(list(found), eps, eps * scale)
+    got = matching._dedup_events(list(found), eps, eps * scale)
+    assert [id(ev) for ev in got] == [id(ev) for ev in want]
+
+
+def test_dedup_keeps_the_lower_residual_of_an_exact_tie():
+    point = np.array([0.5, -0.25, 2.0])
+    events = [el.DetectedEvent(1.0, point, (), residual, el.SolvePath.FULL_RANK, False)
+              for residual in (3e-16, 1e-16, 2e-16)]
+    for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
+        (kept,) = matching._dedup_events([events[i] for i in order], 1e-6, 1e-6)
+        assert kept is events[1]
+
+
 def test_dense_scene_events_match_least_squares_solves():
     # The matcher solves its full-rank tuples in one batch through the
     # layout's factor and sends the rest to solve; every event must carry
