@@ -6,8 +6,8 @@ event unique.  Only the time column of the linearised system depends on the
 times, so the matcher has its :class:`SensorArray` of n+2 sensors factor
 the geometry block once (:func:`linalg.exact_factor`): the factor picks
 the held-out sensor and its local inverse, and :func:`_solve_full_rank`
-solves each piece of accepted tuples with it, one stacked rank decision for
-the piece.  A lone :func:`solve` never reads the factor.
+solves every tuple a match accepts with it after the walk, one stacked rank
+decision for the match.  A lone :func:`solve` never reads the factor.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def solve(sensors: SensorArray, times, *, rank_tol: float = linalg.DEFAULT_RANK_
 
 
 def _solve_full_rank(sensors: SensorArray, rows: np.ndarray, rank_tol: float) -> list:
-    """The full-rank solves of k tuples, a (k, n+2) array, on a factored layout.
+    """The full-rank solves of a match's k accepted tuples, a (k, n+2) array in walk order.
 
     One stacked :func:`linalg.numeric_rank` decides every row's rank.  A
     row of rank n+2 gets :func:`solve`'s digits from the layout's factor:

@@ -22,9 +22,9 @@ the smallest of those residuals from ``rejected_floor``.  The walk finds
 the windows of a whole block of prefixes with one ``searchsorted`` per
 side and extends the block in pieces of at most ``_CHUNK_ROWS`` rows, each
 walked to the held-out sensor before the next is built, so prefixes come
-out in lexicographic order and memory stays bounded.  Its blocks are
-sensor-major (Fortran-ordered), so the max and min over a prefix's sensors
-run across contiguous columns rather than along numpy's slow short axis.
+out in lexicographic order and memory stays bounded: a piece leaves only
+its accepted tuples, solved in one batch after the walk.  Blocks are
+sensor-major, so max and min over a prefix run across contiguous columns.
 :meth:`ReceptionTable.from_events` is the one place where reception tables
 are built from emissions.
 """
@@ -316,28 +316,30 @@ def _held_out(sensors: SensorArray) -> tuple[int, list[int], np.ndarray, np.ndar
 
 
 def _predict(prefixes, inverse, local, diameter, disc_tol):
-    """The held-out arrival that each root of each prefix's quadratic predicts.
+    """The held-out arrivals that the roots of the prefixes' quadratics predict.
 
     The prefix is solved in a local frame: positions ``local`` relative to
-    the held-out sensor and times relative to the prefix's first one.  Row
-    j of ``inverse`` applied to 2 t and to ||a||^2 - t^2 gives (u, alpha)
-    and (v, beta) of :func:`solve`'s quadratic path, elementwise and with no
-    BLAS, and a root t predicts the arrival t + ||t u + v||.  Returns the
-    (k, 2) predictions, NaN where the quadratic has no real root or the
-    root is spurious by :func:`solve`'s rule for the prefix's sensors (of
-    the given ``diameter``), and the (k,) mask of fragile prefixes, whose
-    roots are too ill-conditioned to predict from: near-linear (|a| at most
-    ``lateration._DEGENERACY_TOL``), nearly flat (|a| > 1e6) or near-double
-    (|disc| <= ``disc_tol``).  The times are gathered C-ordered, one
-    contiguous row per sensor, so the per-prefix min and max of
-    :func:`_spurious` also run across rows.
+    the held-out sensor and times relative to the prefix's first one, whose
+    column is an exact 0.  Row j of ``inverse`` applied to 2 t and to
+    ||a||^2 - t^2 gives (u, alpha) and (v, beta) of :func:`solve`'s
+    quadratic path, elementwise and with no BLAS, and a root t predicts the
+    arrival t + ||t u + v||.  Returns the (slot, value) pairs of the roots
+    that predict, slot = 2 row + root in row-major order, and the (k,) mask
+    of fragile prefixes, too ill-conditioned to predict from: near-linear
+    (|a| at most ``lateration._DEGENERACY_TOL``), nearly flat (|a| > 1e6)
+    or near-double (|disc| <= ``disc_tol``).  Fragile prefixes, prefixes
+    with no real root and roots spurious by :func:`solve`'s rule for the
+    prefix's sensors (of ``diameter``) predict nothing.  The times are
+    gathered C-ordered, so :func:`_spurious` runs across rows.
     """
     origin = prefixes[:, 0]
     cols = (prefixes - origin[:, None]).T
-    lifted = (local * local).sum(axis=1)[:, None] - cols * cols
+    square = (local * local).sum(axis=1)
+    lifted = square[1:, None] - cols[1:] * cols[1:]
     rows = range(len(cols))
-    t_part = [2.0 * sum(inverse[j, i] * cols[i] for i in rows) for j in rows]
-    c_part = [sum(inverse[j, i] * lifted[i] for i in rows) for j in rows]
+    t_part = [2.0 * sum(map(operator.mul, inverse[j, 1:], cols[1:])) for j in rows]
+    c_part = [sum(map(operator.mul, inverse[j, 1:], lifted), inverse[j, 0] * square[0])
+              for j in rows]
     u, v = t_part[:-1], c_part[:-1]
     a = sum(e * e for e in u) - 1.0
     b = 2.0 * sum(e * f for e, f in zip(u, v)) - t_part[-1]
@@ -347,49 +349,47 @@ def _predict(prefixes, inverse, local, diameter, disc_tol):
     # nearly flat prefix) it nears the smallest tau.
     lead = np.abs(a)
     fragile = (lead <= _DEGENERACY_TOL) | (lead > 1e6) | (np.abs(disc) <= disc_tol)
-    out = np.full((len(a), 2), np.nan)
     ok = np.flatnonzero(~fragile & (disc > 0.0))
     q = -0.5 * (b[ok] + np.copysign(np.sqrt(disc[ok]), b[ok]))
     roots = np.stack((q / a[ok], c[ok] / q))
-    late = _spurious(roots, np.take(cols, ok, axis=1), diameter)
-    u, v, base = [e[ok] for e in u], [f[ok] for f in v], origin[ok]
-    for col, root in enumerate(roots):
-        reach = np.sqrt(sum((root * e + f) ** 2 for e, f in zip(u, v)))
-        out[ok, col] = np.where(late[col], np.nan, base + root + reach)
-    return out, fragile
+    live = np.flatnonzero(~_spurious(roots, np.take(cols, ok, axis=1), diameter).T)
+    row = ok[live // 2]
+    root = roots.T.ravel()[live]
+    reach = np.sqrt(sum((root * e[row] + f[row]) ** 2 for e, f in zip(u, v)))
+    return 2 * row + live % 2, origin[row] + root + reach, fragile
 
 
-def _screen_rows(arrivals, wlo, whi, predicted, fragile, tau, screen_all=False):
+def _screen_rows(arrivals, wlo, whi, slot, value, fragile, tau, screen_all=False):
     """The (prefix, arrival) pairs the predictions pick, in walk order, and which are near.
 
-    Prefix i's window is ``arrivals[wlo[i]:whi[i]]``.  Each root picks the
-    window's arrivals within ``tau`` of its prediction (near), and a fragile
-    prefix its whole window, all near.  Only with ``screen_all`` does a root
-    with no near arrival also pick the one arrival of the window nearest its
-    prediction.  Returns the prefix and arrival indices of the distinct
-    pairs, sorted, and whether each is near.
+    Prefix i's window is ``arrivals[wlo[i]:whi[i]]``, and prediction
+    ``value[p]`` is prefix ``slot[p] // 2``'s.  Each prediction picks the
+    window's arrivals within ``tau`` of it (near), and a fragile prefix its
+    whole window, all near.  Only with ``screen_all`` does one with no near
+    arrival also pick the window's arrival nearest it.  Returns the prefix
+    and arrival indices of the distinct pairs, sorted, and whether each is near.
     """
     size = arrivals.size
+    owner = slot // 2
     # A NaN prediction sorts past every arrival, so it finds none.
-    lo = np.maximum(np.searchsorted(arrivals, predicted - tau, side="left"), wlo[:, None])
-    hit = np.flatnonzero(lo < whi[:, None])
-    hit = hit[arrivals[lo.flat[hit]] <= predicted.flat[hit] + tau]
-    owner = np.concatenate((hit // 2, np.flatnonzero(fragile)))
-    starts = np.concatenate((lo.flat[hit], wlo[fragile]))
-    stops = np.searchsorted(arrivals, predicted.flat[hit] + tau, side="right")
-    counts = np.minimum(np.concatenate((stops, whi[fragile])), whi[owner]) - starts
-    near = np.repeat(owner * size + starts - (np.cumsum(counts) - counts), counts)
+    lo = np.maximum(np.searchsorted(arrivals, value - tau, side="left"), wlo[owner])
+    hit = np.flatnonzero(lo < whi[owner])
+    hit = hit[arrivals[lo[hit]] <= value[hit] + tau]
+    picker = np.concatenate((owner[hit], np.flatnonzero(fragile)))
+    starts = np.concatenate((lo[hit], wlo[fragile]))
+    stops = np.searchsorted(arrivals, value[hit] + tau, side="right")
+    counts = np.minimum(np.concatenate((stops, whi[fragile])), whi[picker]) - starts
+    near = np.repeat(picker * size + starts - (np.cumsum(counts) - counts), counts)
     near += np.arange(near.size)
     if not screen_all:
         keys = np.unique(near)
         return keys // size, keys % size, np.ones(keys.size, dtype=bool)
 
-    # For a root with none near, every arrival from lo up to its prediction is
+    # For a prediction with none near, every arrival from lo up to it is
     # within tau, so outside the window: lo splits it where the prediction would.
-    lone = ~np.isnan(predicted) & (whi > wlo)[:, None]
-    lone.flat[hit] = False
-    lone_p = np.nonzero(lone)[0]
-    value, at = predicted[lone], lo[lone]
+    lone = ~np.isnan(value) & (whi > wlo)[owner]
+    lone[hit] = False
+    lone_p, value, at = owner[lone], value[lone], lo[lone]
     left = np.clip(at - 1, wlo[lone_p], whi[lone_p] - 1)
     right = np.clip(at, wlo[lone_p], whi[lone_p] - 1)
     nearer = np.abs(arrivals[right] - value) < np.abs(arrivals[left] - value)
@@ -427,9 +427,9 @@ def match_events(
     residual counts towards ``rejected_floor``.
 
     Each accepted tuple is multilaterated and its non-spurious candidates
-    become detected events; a piece's full-rank tuples are solved in one
-    batch on the factor (:func:`lateration._solve_full_rank`).  Ambiguous
-    tuples (two viable candidates) contribute both events flagged
+    become detected events; after the walk, the match's full-rank tuples
+    are solved in one batch on the factor (:func:`lateration._solve_full_rank`).
+    Ambiguous tuples (two viable candidates) contribute both events flagged
     ``ambiguous`` when ``config.keep_ambiguous`` is set, and are dropped
     otherwise.  Numeric failures on individual tuples are reported in
     ``skipped`` rather than aborting the sweep.
@@ -471,8 +471,8 @@ def match_events(
     walk = _walk(tuple(table.times[i] for i in order), dist[np.ix_(order, order)], slack)
     for prefixes, wlo, whi in walk:
         evaluated += int((whi - wlo).sum())
-        predicted, fragile = _predict(prefixes, inverse, local, prefix_diameter, disc_tol)
-        which, index, near = _screen_rows(arrivals, wlo, whi, predicted, fragile, tau, _screen_all)
+        predicted = _predict(prefixes, inverse, local, prefix_diameter, disc_tol)
+        which, index, near = _screen_rows(arrivals, wlo, whi, *predicted, tau, _screen_all)
         if not which.size:
             continue
         rows = np.empty((which.size, m))
@@ -482,31 +482,31 @@ def match_events(
         hits = near & (residuals <= config.residual_threshold)
         if not hits.all():
             floors.append(float(residuals[~hits].min()))
-        rows = rows[hits]
-        solved = _solve_full_rank(sensors, rows, config.rank_tol)
-        for row, residual, outcome in zip(rows, residuals[hits].tolist(), solved):
-            source = tuple(row.tolist())
-            accepted.append((source, residual))
-            path = SolvePath.FULL_RANK
-            if outcome is None:  # below full rank: solve's quadratic path
-                try:
-                    result = solve(sensors, row, rank_tol=config.rank_tol)
-                except NumericError as exc:
-                    outcome = exc
-                else:
-                    path = result.path
-                    outcome = [(c.event.time, c.event.position, c.spurious)
-                               for c in result.candidates]
-            if isinstance(outcome, NumericError):
-                skipped.append((source, f"{type(outcome).__name__}: {outcome}"))
-                continue
-            viable = [(time, position) for time, position, late in outcome if not late]
-            ambiguous = len(viable) > 1
-            if ambiguous and not config.keep_ambiguous:
-                dropped_ambiguous += 1
-                continue
-            for time, position in viable:
-                found.append(DetectedEvent(time, position, source, residual, path, ambiguous))
+        accepted.extend(zip(map(tuple, rows[hits].tolist()), residuals[hits].tolist()))
+
+    rows = np.array([source for source, _ in accepted]).reshape(-1, m)
+    solved = _solve_full_rank(sensors, rows, config.rank_tol)
+    for row, (source, residual), outcome in zip(rows, accepted, solved):
+        path = SolvePath.FULL_RANK
+        if outcome is None:  # below full rank: solve's quadratic path
+            try:
+                result = solve(sensors, row, rank_tol=config.rank_tol)
+            except NumericError as exc:
+                outcome = exc
+            else:
+                path = result.path
+                outcome = [(c.event.time, c.event.position, c.spurious)
+                           for c in result.candidates]
+        if isinstance(outcome, NumericError):
+            skipped.append((source, f"{type(outcome).__name__}: {outcome}"))
+            continue
+        viable = [(time, position) for time, position, late in outcome if not late]
+        ambiguous = len(viable) > 1
+        if ambiguous and not config.keep_ambiguous:
+            dropped_ambiguous += 1
+            continue
+        for time, position in viable:
+            found.append(DetectedEvent(time, position, source, residual, path, ambiguous))
 
     events = _dedup_events(found, _DEDUP_EPS, _DEDUP_EPS * sensors.diameter())
     return MatchReport(

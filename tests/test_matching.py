@@ -428,11 +428,12 @@ def test_prediction_does_not_depend_on_the_prefix_layout(scene):
     scale = sensors.diameter() + table.span()
     outputs = [matching._predict(layout(prefixes), inverse, local, dist.max(), 1e-12 * scale**2)
                for layout in (np.ascontiguousarray, np.asfortranarray)]
-    (c_pred, c_fragile), (f_pred, f_fragile) = outputs
-    assert c_pred.tobytes() == f_pred.tobytes()
-    assert c_fragile.tobytes() == f_fragile.tobytes()
-    assert np.isfinite(c_pred).any()
-    assert c_fragile.any() == (scene == "flat")
+    for c_part, f_part in zip(*outputs):
+        assert c_part.tobytes() == f_part.tobytes()
+    slot, value, fragile = outputs[0]
+    assert (np.diff(slot) > 0).all() and value.size and np.isfinite(value).all()
+    assert not fragile[slot // 2].any()
+    assert fragile.any() == (scene == "flat")
 
     times = prefixes.T
     rng = np.random.default_rng(0)
@@ -441,6 +442,12 @@ def test_prediction_does_not_depend_on_the_prefix_layout(scene):
              for layout in (np.ascontiguousarray, np.asfortranarray)]
     assert flags[0].tobytes() == flags[1].tobytes()
     assert 0 < flags[0].sum() < flags[0].size
+
+
+def _pairs(predicted):
+    """A (k, 2) array of predictions, NaN where none exists, as ``_predict``'s (slot, value)."""
+    slot = np.flatnonzero(~np.isnan(predicted))
+    return slot, predicted.ravel()[slot]
 
 
 def _hand_built_screen():
@@ -470,10 +477,11 @@ def _hand_built_screen():
 
 @pytest.mark.parametrize("screen_all", [False, True])
 def test_screen_rows_picks_what_the_reference_picks(screen_all):
-    args = (*_hand_built_screen(), 0.25, screen_all)
-    which, index, near = matching._screen_rows(*args)
+    arrivals, wlo, whi, predicted, fragile = _hand_built_screen()
+    which, index, near = matching._screen_rows(arrivals, wlo, whi, *_pairs(predicted), fragile,
+                                               0.25, screen_all)
     got = list(zip(which.tolist(), index.tolist(), near.tolist()))
-    assert got == screen_rows(*args)
+    assert got == screen_rows(arrivals, wlo, whi, predicted, fragile, 0.25, screen_all)
     want = [(0, 2), (0, 3), (0, 4), (5, 5), (5, 6), (6, 6), (7, 7), (8, 1), (8, 2), (8, 7),
             (11, 6), (12, 3)]
     want = [(i, j, True) for i, j in want]
@@ -488,7 +496,7 @@ def test_default_screen_is_the_flagged_screen_filtered_by_near(monkeypatch, chun
     screen, pieces = matching._screen_rows, []
 
     def recording(*args):
-        pieces.append(args[:6])
+        pieces.append(args[:7])
         return screen(*args)
 
     monkeypatch.setattr(matching, "_screen_rows", recording)
@@ -497,18 +505,23 @@ def test_default_screen_is_the_flagged_screen_filtered_by_near(monkeypatch, chun
         el.match_events(sensors, table)
     sensors, _, table = _flat_scene(1e-5)
     el.match_events(sensors, table)
-    lone = fragile = 0
+    lone = fragile_prefixes = 0
     for args in pieces:
+        arrivals, wlo, whi, slot, value, fragile, tau = args
+        predicted = np.full((wlo.size, 2), np.nan)
+        predicted.flat[slot] = value
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_pairs(predicted), (slot, value)))
         default, flagged = screen(*args), screen(*args, True)
         assert default[2].all()
         assert [part.tolist() for part in default[:2]] == [
             part[flagged[2]].tolist() for part in flagged[:2]
         ]
         for screen_all, result in ((False, default), (True, flagged)):
-            assert list(zip(*(part.tolist() for part in result))) == screen_rows(*args, screen_all)
+            reference = screen_rows(arrivals, wlo, whi, predicted, fragile, tau, screen_all)
+            assert list(zip(*(part.tolist() for part in result))) == reference
         lone += int((~flagged[2]).sum())
-        fragile += int(args[4].sum())
-    assert lone > 0 and fragile > 0
+        fragile_prefixes += int(fragile.sum())
+    assert lone > 0 and fragile_prefixes > 0
 
 
 def test_rejected_floor_is_none_when_nothing_is_rejected():
@@ -535,6 +548,31 @@ def test_sweep_memory_is_bounded_by_the_piece_size(monkeypatch):
         tracemalloc.stop()
     assert len(report.events) == len(events)
     assert peak <= 64 * matching._CHUNK_ROWS * sensors.count * 8
+
+
+@pytest.mark.parametrize("screen_all", [False, True])
+def test_piece_size_changes_nothing(monkeypatch, screen_all):
+    # Each match solves its accepted tuples in one batch, however many
+    # pieces the walk cuts its prefixes into.
+    calls = {"solve": 0, "rank": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matching, "_solve_full_rank", counted(matching._solve_full_rank, "solve"))
+    monkeypatch.setattr(el.linalg, "numeric_rank", counted(el.linalg.numeric_rank, "rank"))
+    scenes = [_dense_scene(seed) for seed in (1, 2, 3)] + [_flat_scene(1e-5)]
+    for sensors, _, table, *_ in scenes:
+        digests = set()
+        for chunk_rows in (1, 11, 4096):
+            monkeypatch.setattr(matching, "_CHUNK_ROWS", chunk_rows)
+            calls.update(solve=0, rank=0)
+            digests.add(_report_digest(el.match_events(sensors, table, _screen_all=screen_all)))
+            assert calls == {"solve": 1, "rank": 1}
+        assert len(digests) == 1
 
 
 def test_config_rejects_bad_values():
